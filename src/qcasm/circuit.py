@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import ast
 from .errors import CapExceededError, LoweringError, ScheduleError
@@ -86,11 +87,12 @@ class GeneralizedCircuit:
     prereq: dict[Gid, frozenset[Gid]]
     _closure: dict | None = field(default=None, compare=False, repr=False)
 
+    @cached_property
+    def _by_gid(self) -> dict[Gid, Gate]:
+        return {g.gid: g for g in self.gates}
+
     def gate(self, gid: Gid) -> Gate:
-        for g in self.gates:
-            if g.gid == gid:
-                return g
-        raise KeyError(gid)
+        return self._by_gid[gid]
 
     @property
     def gids(self) -> tuple[Gid, ...]:

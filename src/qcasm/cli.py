@@ -129,18 +129,22 @@ def _ground(args) -> tuple[ast.Program, Registry]:
     return ground, registry
 
 
-def _pick_schedule(spec: str, circ, tree):
-    if spec == "greedy":
-        return circuit.greedy_schedule(circ, tree)
+def _prepare(args) -> sim.PreparedProgram:
+    """Elaborate, lower and schedule once, as --schedule asks."""
+    ground, registry = _ground(args)
+    prep = sim.prepare(ground, registry=registry)
+    if args.schedule == "greedy":
+        return prep
     try:
-        index = int(spec)
+        index = int(args.schedule)
     except ValueError:
-        raise _UsageError(f"--schedule wants 'greedy' or an index, got {spec!r}") from None
-    options = circuit.all_schedules(circ)
+        raise _UsageError(f"--schedule wants 'greedy' or an index, "
+                          f"got {args.schedule!r}") from None
+    options = circuit.all_schedules(prep.circuit)
     if not 0 <= index < len(options):
         raise QcasmError(f"schedule index {index} out of range; "
                          f"the circuit has {len(options)} schedules")
-    return options[index]
+    return prep.with_schedule(options[index])
 
 
 # ---------------------------------------------------------------------------
@@ -179,13 +183,11 @@ def _cmd_lower(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    ground, registry = _ground(args)
-    circ, tree = circuit._lower(ground)
-    schedule = _pick_schedule(args.schedule, circ, tree)
+    prep = _prepare(args)
     if args.shots < 1:
         raise _UsageError("--shots must be at least 1")
     if args.shots == 1:
-        result = sim.run(ground, seed=args.seed, registry=registry, schedule=schedule)
+        result = sim.run(prep, seed=args.seed)
         if args.format == "json":
             _emit(sim.emit_json(sim.run_result_json(result)), args.out)
         else:
@@ -196,8 +198,7 @@ def _cmd_run(args) -> int:
                 lines.append(f"  bout {t.step}: {t.mq}({wires}) -> {t.answer}")
             _emit("\n".join(lines), args.out)
         return 0
-    counts = sim.sample_distribution(ground, args.shots, seed=args.seed,
-                                     registry=registry, schedule=schedule)
+    counts = sim.sample_distribution(prep, args.shots, seed=args.seed)
     rows = [{"outcomes": sim._outcomes_json(key), "count": n}
             for key, n in sorted(counts.items())]
     doc = {"shots": args.shots, "seed": args.seed, "counts": rows}
@@ -213,11 +214,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    ground, registry = _ground(args)
-    circ, tree = circuit._lower(ground)
-    schedule = _pick_schedule(args.schedule, circ, tree)
-    enum = sim.enumerate_branches(ground, registry=registry, schedule=schedule,
-                                  min_prob=args.min_prob)
+    enum = sim.enumerate_branches(_prepare(args), min_prob=args.min_prob)
     if args.format == "json":
         _emit(sim.emit_json(sim.enumeration_json(enum, with_states=not args.no_states)),
               args.out)
@@ -233,10 +230,10 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_schedules(args) -> int:
     ground, registry = _ground(args)
-    circ, tree = circuit._lower(ground)
-    options = circuit.all_schedules(circ, max_count=args.max)
+    prep = sim.prepare(ground, registry=registry)
+    options = circuit.all_schedules(prep.circuit, max_count=args.max)
     if args.verify:
-        sim.check_schedule_independence(ground, registry=registry, schedules=options)
+        sim.check_schedule_independence(prep, schedules=options)
     if args.format == "json":
         doc = {"count": len(options), "verified": bool(args.verify),
                "schedules": [circuit.schedule_json(s) for s in options]}

@@ -19,7 +19,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -344,30 +344,51 @@ def apply_unitary(s: QuantumState, u, wires: Sequence[int]) -> QuantumState:
     return QuantumState(s.width, apply_operator(s.amplitudes, op, wires, s.width))
 
 
-def outcome_probability(s: QuantumState, f: MeasurementFamily, wires: Sequence[int], label: int) -> float:
-    """Probability ||A_label |s>||**2 of observing the labelled outcome."""
+class OutcomeVector(NamedTuple):
+    """An outcome applied to a state: label, probability (clamped to
+    [0, 1]), the unnormalized A_label |s> and its squared norm."""
+
+    label: int
+    probability: float
+    vector: np.ndarray
+    norm2: float
+
+
+def outcome_vectors(s: QuantumState, f: MeasurementFamily, wires: Sequence[int],
+                    labels: Sequence[int] | None = None) -> tuple[OutcomeVector, ...]:
+    """A_i |s> for the given labels (default: every outcome, in family
+    order), one operator application each.  A squared norm above
+    1 + ATOL means the family is not complete and is rejected."""
     ws = check_wires(wires, s.width)
     if len(ws) != f.arity:
         raise InvalidFamilyError(f"{f.name}: family of arity {f.arity} applied to {len(ws)} wires")
-    vec = apply_operator(s.amplitudes, f.operator(label), ws, s.width)
-    p = float(np.real(np.vdot(vec, vec)))
-    if p > 1.0 + ATOL:
-        raise InvalidFamilyError(f"{f.name}: outcome probability {p} exceeds 1")
-    return min(max(p, 0.0), 1.0)
+    out = []
+    for label in f.labels if labels is None else labels:
+        vec = apply_operator(s.amplitudes, f.operator(label), ws, s.width)
+        norm2 = float(np.real(np.vdot(vec, vec)))
+        if norm2 > 1.0 + ATOL:
+            raise InvalidFamilyError(f"{f.name}: outcome probability {norm2} exceeds 1")
+        out.append(OutcomeVector(label, min(max(norm2, 0.0), 1.0), vec, norm2))
+    return tuple(out)
+
+
+def post_state(s: QuantumState, f: MeasurementFamily, o: OutcomeVector) -> QuantumState:
+    """The post-measurement state A_i |s> / ||A_i |s>|| of a taken outcome."""
+    if o.norm2 < PRUNE_EPS:
+        raise ImpossibleBranchError(
+            f"{f.name}: outcome {o.label} has probability {o.norm2:.3e} below {PRUNE_EPS}"
+        )
+    return QuantumState(s.width, o.vector / math.sqrt(o.norm2))
+
+
+def outcome_probability(s: QuantumState, f: MeasurementFamily, wires: Sequence[int], label: int) -> float:
+    """Probability ||A_label |s>||**2 of observing the labelled outcome."""
+    return outcome_vectors(s, f, wires, (label,))[0].probability
 
 
 def collapse(s: QuantumState, f: MeasurementFamily, wires: Sequence[int], label: int) -> QuantumState:
     """Post-measurement state A_label |s> / ||A_label |s>|| for the outcome."""
-    ws = check_wires(wires, s.width)
-    if len(ws) != f.arity:
-        raise InvalidFamilyError(f"{f.name}: family of arity {f.arity} applied to {len(ws)} wires")
-    vec = apply_operator(s.amplitudes, f.operator(label), ws, s.width)
-    norm2 = float(np.real(np.vdot(vec, vec)))
-    if norm2 < PRUNE_EPS:
-        raise ImpossibleBranchError(
-            f"{f.name}: outcome {label} has probability {norm2:.3e} below {PRUNE_EPS}"
-        )
-    return QuantumState(s.width, vec / math.sqrt(norm2))
+    return post_state(s, f, outcome_vectors(s, f, wires, (label,))[0])
 
 
 def fidelity_up_to_phase(a: QuantumState, b: QuantumState) -> float:
@@ -554,13 +575,10 @@ class Registry:
         raise UnknownNameError(f"unknown gate or measurement {name!r}")
 
     def knows_gate(self, name: str) -> bool:
-        try:
-            base = name
-            while base.startswith("c") and base not in self.families and base not in STD_GATE_PARAMS:
-                base = base[1:]
-            return bool(base) and (base in self.families or base in STD_GATE_PARAMS)
-        except Exception:  # pragma: no cover
-            return False
+        base = name
+        while base.startswith("c") and base not in self.families and base not in STD_GATE_PARAMS:
+            base = base[1:]
+        return bool(base) and (base in self.families or base in STD_GATE_PARAMS)
 
 
 DEFAULT_REGISTRY = Registry()

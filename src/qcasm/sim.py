@@ -1,14 +1,16 @@
 """Executing programs on a dense state-vector simulator.
 
-A prepared program pairs the lowered circuit with a schedule and the
-declared input state.  Execution walks the schedule bout by bout; inside
-a bout gates fire in ascending id order.  Firing a gate evaluates its
-guards against the classical store, selects a measurement family, picks
-an outcome (by sampling in ``run``, or branching over every outcome in
-``enumerate_branches``), collapses the state, and records a trace entry.
-After the last bout the classical rules of the program run: sequential
-parts apply in order, parallel parts all read the same snapshot and
-their writes must agree.
+A prepared program pairs the lowered circuit with a schedule; each
+execution builds the declared input state afresh.  Execution walks the
+schedule bout by bout; inside a bout gates fire in ascending id order.
+Firing a gate (``fire``) evaluates its guards against the classical
+store, selects a measurement family and applies each of its outcome
+operators once; the caller picks an outcome (by sampling in ``run``, or
+branching over every outcome in ``enumerate_branches``), normalizes it
+into the post-measurement state, and records a trace entry.  After the
+last bout the classical rules of the program run: sequential parts
+apply in order, parallel parts all read the same snapshot and their
+writes must agree.
 
 Sampling draws one uniform variate per gate from ``random.Random(seed)``
 (a fixed, platform-independent generator) and inverts the outcome CDF in
@@ -21,7 +23,8 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,12 +32,13 @@ from . import ast
 from . import circuit as circuit_mod
 from .circuit import Gate, GeneralizedCircuit, Gid, Schedule
 from .errors import ImpossibleBranchError, SimulationError
-from .qmath import (ATOL, PRUNE_EPS, MAX_WIDTH, MeasurementFamily, QuantumState,
-                    Registry, apply_operator, collapse, make_state,
-                    outcome_probability)
+from .qmath import (ATOL, PRUNE_EPS, MAX_WIDTH, MeasurementFamily, OutcomeVector,
+                    QuantumState, Registry, collapse, make_state, outcome_vectors,
+                    post_state)
 
 DEFAULT_MAX_BRANCHES = 2**20
 UNITARY_MAX_WIDTH = 12
+SAMPLE_CACHE_BYTES = 64 * 2**20  # states kept by the sample_distribution trie
 
 
 @dataclass(frozen=True)
@@ -85,20 +89,27 @@ class Enumeration:
 
 @dataclass
 class PreparedProgram:
+    """A ground program, its circuit and a checked schedule, in firing
+    order.  It holds no state vector, so it is cheap to keep and reuse."""
     program: ast.Program
     registry: Registry
     circuit: GeneralizedCircuit
-    tree: object
     schedule: Schedule
-    initial: QuantumState
-    firing: tuple[tuple[int, Gate], ...] = field(default=())
+    firing: tuple[tuple[int, Gate], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        order = []
-        for step, bout in enumerate(self.schedule, start=1):
-            for gid in bout:
-                order.append((step, self.circuit.gate(gid)))
-        self.firing = tuple(order)
+        circuit_mod.check_schedule(self.circuit, self.schedule)
+        self.firing = tuple((step, self.circuit.gate(gid))
+                            for step, bout in enumerate(self.schedule, start=1)
+                            for gid in bout)
+
+    def input_state(self) -> QuantumState:
+        """The declared input state, built afresh on each call."""
+        return initial_state(self.program, self.registry, self.circuit.width)
+
+    def with_schedule(self, schedule: Schedule) -> PreparedProgram:
+        """The same program fired in another (checked) schedule."""
+        return replace(self, schedule=schedule)
 
 
 def initial_state(program: ast.Program, registry: Registry | None = None,
@@ -151,16 +162,24 @@ def _conjunct_state(c: ast.InputConjunct, registry: Registry) -> QuantumState:
 def prepare(program: ast.Program, bindings: dict | None = None,
             registry: Registry | None = None,
             schedule: Schedule | None = None) -> PreparedProgram:
-    """Elaborate (if needed), lower, schedule, and build the input state."""
+    """Elaborate (if needed), lower and schedule (greedily by default):
+    the one path from a program to the circuit that the simulator fires."""
     registry = registry if registry is not None else Registry()
     if program.params or not ast.is_ground(program.body):
         program = ast.elaborate(program, bindings or {}, registry)
     circ, tree = circuit_mod._lower(program)
     if schedule is None:
         schedule = circuit_mod.greedy_schedule(circ, tree)
-    circuit_mod.check_schedule(circ, schedule)
-    state = initial_state(program, registry, circ.width)
-    return PreparedProgram(program, registry, circ, tree, schedule, state)
+    return PreparedProgram(program, registry, circ, schedule)
+
+
+def _prepared(program: ast.Program | PreparedProgram, bindings: dict | None,
+              registry: Registry | None, schedule: Schedule | None) -> PreparedProgram:
+    if not isinstance(program, PreparedProgram):
+        return prepare(program, bindings, registry, schedule)
+    if bindings or registry is not None:
+        raise SimulationError("a prepared program takes no bindings or registry")
+    return program if schedule is None else program.with_schedule(schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -182,32 +201,30 @@ def select_family(gate: Gate, store) -> MeasurementFamily:
     return gate.families[-1]
 
 
-def _outcome_table(state: QuantumState, fam: MeasurementFamily,
-                   wires: tuple[int, ...]) -> tuple[tuple[int, float], ...]:
-    return tuple((out.label, outcome_probability(state, fam, wires, out.label))
-                 for out in fam.outcomes)
+def fire(state: QuantumState, gate: Gate,
+         store) -> tuple[MeasurementFamily, tuple[OutcomeVector, ...]]:
+    """Fire ``gate`` on ``state``: select its family and compute A_i |s>
+    once per outcome.  Only the outcomes actually taken are normalized
+    into a state (``qmath.post_state``)."""
+    fam = select_family(gate, store)
+    return fam, outcome_vectors(state, fam, gate.wires)
 
 
-def _pick(pairs: tuple[tuple[int, float], ...], u: float) -> tuple[int, float]:
-    """Invert the outcome CDF at u, skipping effectively-impossible labels."""
+def _pick(outcomes, u: float):
+    """Invert the outcome CDF at u over (label, probability, ...) entries.
+    A label of probability <= PRUNE_EPS is never chosen: u in its mass
+    goes to the previous positive label, or the next if none precedes."""
     cum = 0.0
-    last_positive = None
-    for label, p in pairs:
-        if p > PRUNE_EPS:
-            last_positive = (label, p)
-        cum += p
-        if u < cum:
-            if p <= PRUNE_EPS and last_positive is not None:
-                return last_positive
-            return label, p
-    if last_positive is None:
+    chosen = None
+    for entry in outcomes:
+        cum += entry[1]
+        if entry[1] > PRUNE_EPS:
+            chosen = entry
+        if u < cum and chosen is not None:
+            return chosen
+    if chosen is None:
         raise ImpossibleBranchError("every outcome of the family has zero probability")
-    return last_positive
-
-
-def _sample_outcome(state: QuantumState, fam: MeasurementFamily,
-                    wires: tuple[int, ...], u: float):
-    return _pick(_outcome_table(state, fam, wires), u)
+    return chosen
 
 
 # ---------------------------------------------------------------------------
@@ -264,16 +281,17 @@ def _run_classical(program: ast.Program, store: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 def _execute(prep: PreparedProgram, rng: random.Random) -> RunResult:
-    state = prep.initial
+    state = prep.input_state()
     store: dict[str, int] = {}
     outcomes: list[tuple[Gid, int]] = []
     trace: list[QueryTraceEntry] = []
     probability = 1.0
     for step, gate in prep.firing:
-        fam = select_family(gate, store)
-        u = rng.random()
-        label, p = _sample_outcome(state, fam, gate.wires, u)
-        state = collapse(state, fam, gate.wires, label)
+        fam, outs = fire(state, gate, store)
+        taken = _pick(outs, rng.random())
+        state = post_state(state, fam, taken)
+        label, p = taken.label, taken.probability
+        del outs, taken  # drop the outcome vectors before the next gate fires
         probability *= p
         outcomes.append((gate.gid, label))
         if gate.out is not None:
@@ -284,15 +302,16 @@ def _execute(prep: PreparedProgram, rng: random.Random) -> RunResult:
                      min(probability, 1.0), prep.schedule)
 
 
-def run(program: ast.Program, seed: int = 0, bindings: dict | None = None,
-        registry: Registry | None = None,
+def run(program: ast.Program | PreparedProgram, seed: int = 0,
+        bindings: dict | None = None, registry: Registry | None = None,
         schedule: Schedule | None = None) -> RunResult:
     """One seeded sampling run."""
-    prep = prepare(program, bindings, registry, schedule)
-    return _execute(prep, random.Random(seed))
+    return _execute(_prepared(program, bindings, registry, schedule),
+                    random.Random(seed))
 
 
-def enumerate_branches(program: ast.Program, bindings: dict | None = None,
+def enumerate_branches(program: ast.Program | PreparedProgram,
+                       bindings: dict | None = None,
                        registry: Registry | None = None,
                        schedule: Schedule | None = None,
                        min_prob: float = 0.0,
@@ -302,8 +321,8 @@ def enumerate_branches(program: ast.Program, bindings: dict | None = None,
     A branch is pruned (its mass accumulated, not explored) when its
     probability falls below max(min_prob, 1e-12).
     """
-    prep = prepare(program, bindings, registry, schedule)
-    return _enumerate(prep, min_prob, max_branches)
+    return _enumerate(_prepared(program, bindings, registry, schedule),
+                      min_prob, max_branches)
 
 
 def _enumerate(prep: PreparedProgram, min_prob: float = 0.0,
@@ -324,73 +343,98 @@ def _enumerate(prep: PreparedProgram, min_prob: float = 0.0,
                                       f"raise min_prob or max_branches")
             return
         step, gate = firing[k]
-        fam = select_family(gate, store)
-        for out in fam.outcomes:
-            p = outcome_probability(state, fam, gate.wires, out.label)
-            new_prob = prob * p
-            if p <= PRUNE_EPS or new_prob < floor:
+        fam, outs = fire(state, gate, store)
+        for out in outs:
+            new_prob = prob * out.probability
+            if out.probability <= PRUNE_EPS or new_prob < floor:
                 pruned += new_prob
                 continue
-            new_state = collapse(state, fam, gate.wires, out.label)
             new_store = store if gate.out is None else {**store, gate.out: out.label}
-            walk(k + 1, new_state, new_store,
+            walk(k + 1, post_state(state, fam, out), new_store,
                  outcomes + ((gate.gid, out.label),),
                  trace + (QueryTraceEntry(step, fam.name, gate.wires, out.label),),
                  new_prob)
 
-    walk(0, prep.initial, {}, (), (), 1.0)
+    walk(0, prep.input_state(), {}, (), (), 1.0)
     branches.sort(key=lambda b: b.outcomes)
     return Enumeration(tuple(branches), pruned)
 
 
-def _prefix_table(prep: PreparedProgram,
-                  labels: list[int]) -> tuple[tuple[int, float], ...]:
-    """Outcome probabilities for the gate at depth len(labels), computed
-    by replaying the collapses along the outcome prefix."""
-    state = prep.initial
-    store: dict[str, int] = {}
-    for (_step, gate), label in zip(prep.firing, labels):
-        fam = select_family(gate, store)
-        state = collapse(state, fam, gate.wires, label)
-        if gate.out is not None:
-            store[gate.out] = label
-    _step, gate = prep.firing[len(labels)]
-    return _outcome_table(state, select_family(gate, store), gate.wires)
+@dataclass(eq=False)
+class _Node:
+    """A sampler-trie node: an outcome prefix and the gate fired after it."""
+    parent: weakref.ref | None         # weak: a finished trie has no cycles to collect
+    label: int | None
+    store: dict
+    key: tuple = ()                    # the sorted (gid, label) outcomes so far
+    state: QuantumState | None = None  # the pre-gate state, while cached
+    fired: tuple | None = None         # (gate, family, (label, probability) per outcome)
+    missing: int = 0                   # positive-probability children not yet built
+    children: dict = field(default_factory=dict)
 
 
-def sample_distribution(program: ast.Program, shots: int, seed: int = 0,
-                        bindings: dict | None = None,
+def sample_distribution(program: ast.Program | PreparedProgram, shots: int,
+                        seed: int = 0, bindings: dict | None = None,
                         registry: Registry | None = None,
                         schedule: Schedule | None = None) -> dict:
     """Outcome-assignment counts over ``shots`` runs; shot k uses seed
     ``seed + k``, so a single shot reproduces ``run(program, seed)``.
 
-    Shots sharing an outcome prefix share its amplitudes, so each
-    prefix's outcome probabilities are computed once; a repeat shot
-    costs one random draw per gate and no linear algebra."""
-    prep = prepare(program, bindings, registry, schedule)
-    root: dict = {}
+    Shots walk a trie of outcome prefixes: each new prefix costs one gate
+    firing on a cached state, a repeat shot one random draw per gate.  A
+    node keeps its state until all its positive-probability children
+    exist, within ``SAMPLE_CACHE_BYTES``; beyond that budget a state is
+    replayed, with the same floats, from its deepest cached ancestor."""
+    prep = _prepared(program, bindings, registry, schedule)
+    initial = prep.input_state()
+    root = _Node(None, None, {})
+    cached = 0
     counts: dict[tuple[tuple[Gid, int], ...], int] = {}
+
+    def replay(node: _Node) -> QuantumState:
+        path = []
+        while node.state is None and node.parent is not None:
+            path.append(node)
+            node = node.parent()
+        state = node.state or initial
+        for child in reversed(path):
+            gate, fam, _table = node.fired
+            state = collapse(state, fam, gate.wires, child.label)
+            node = child
+        return state
+
     for k in range(shots):
         rng = random.Random(seed + k)
-        node = root
-        labels: list[int] = []
-        for _depth in range(len(prep.firing)):
-            if "pairs" not in node:
-                node["pairs"] = _prefix_table(prep, labels)
-                node["children"] = {}
-            label, _p = _pick(node["pairs"], rng.random())
-            labels.append(label)
-            node = node["children"].setdefault(label, {})
-        if "key" not in node:
-            node["key"] = tuple(sorted(
-                (gate.gid, label)
-                for (_step, gate), label in zip(prep.firing, labels)))
-        counts[node["key"]] = counts.get(node["key"], 0) + 1
+        node, state = root, initial
+        for _step, gate in prep.firing:
+            outs = None
+            if node.fired is None:
+                fam, outs = fire(state, gate, node.store)
+                node.fired = (gate, fam, tuple((o.label, o.probability) for o in outs))
+                node.missing = sum(o.probability > PRUNE_EPS for o in outs)
+                if node.missing > 1 and cached + state.amplitudes.nbytes <= SAMPLE_CACHE_BYTES:
+                    node.state = state
+                    cached += state.amplitudes.nbytes
+            _gate, fam, table = node.fired
+            taken = _pick(table if outs is None else outs, rng.random())
+            label = taken[0]
+            child = node.children.get(label)
+            if child is None:
+                state = post_state(state, fam, taken) if outs is not None else \
+                    collapse(replay(node), fam, gate.wires, label)
+                store = node.store if gate.out is None else {**node.store, gate.out: label}
+                key = tuple(sorted(node.key + ((gate.gid, label),)))
+                child = node.children[label] = _Node(weakref.ref(node), label, store, key)
+                node.missing -= 1
+                if node.missing == 0 and node.state is not None:
+                    cached -= node.state.amplitudes.nbytes
+                    node.state = None
+            node = child
+        counts[node.key] = counts.get(node.key, 0) + 1
     return counts
 
 
-def check_schedule_independence(program: ast.Program,
+def check_schedule_independence(program: ast.Program | PreparedProgram,
                                 bindings: dict | None = None,
                                 registry: Registry | None = None,
                                 schedules: list[Schedule] | None = None,
@@ -400,18 +444,14 @@ def check_schedule_independence(program: ast.Program,
     same outcome assignments, probabilities within atol, equal stores,
     and amplitude-wise equal final states.  Returns the number of
     schedules checked; raises SimulationError on any disagreement."""
-    registry = registry if registry is not None else Registry()
-    if program.params or not ast.is_ground(program.body):
-        program = ast.elaborate(program, bindings or {}, registry)
-    circ, tree = circuit_mod._lower(program)
+    prep = _prepared(program, bindings, registry, None)
     if schedules is None:
-        schedules = circuit_mod.all_schedules(circ)
+        schedules = circuit_mod.all_schedules(prep.circuit)
     if not schedules:
         raise SimulationError("no schedules to compare")
     reference: dict | None = None
     for schedule in schedules:
-        prep = prepare(program, None, registry, schedule)
-        enum = _enumerate(prep, min_prob)
+        enum = _enumerate(prep.with_schedule(schedule), min_prob)
         table = {b.outcomes: b for b in enum.branches}
         if len(table) != len(enum.branches):
             raise SimulationError("duplicate outcome assignment within one schedule")
@@ -439,36 +479,24 @@ def program_unitary(program: ast.Program, bindings: dict | None = None,
     matrix over all 2**width basis states (width at most 12).  The input
     declaration is ignored; guards are evaluated against the outcomes of
     earlier (necessarily single-outcome) gates."""
-    registry = registry if registry is not None else Registry()
-    if program.params or not ast.is_ground(program.body):
-        program = ast.elaborate(program, bindings or {}, registry)
-    circ, tree = circuit_mod._lower(program)
-    width = circ.width
+    prep = prepare(program, bindings, registry)
+    width = prep.circuit.width
     if width > UNITARY_MAX_WIDTH:
         raise SimulationError(
             f"composite operator needs width <= {UNITARY_MAX_WIDTH}, got {width}")
-    schedule = circuit_mod.greedy_schedule(circ, tree)
-    prep = PreparedProgram(program, registry, circ, tree, schedule,
-                           make_state("0" * width, width))
-    dim = 2**width
     columns = []
-    for j in range(dim):
-        amps = np.zeros(dim, dtype=np.complex128)
-        amps[j] = 1.0
-        state = QuantumState(width, amps)
+    for j in range(2**width):
+        state = make_state(format(j, f"0{width}b"), width)
         store: dict[str, int] = {}
         for _step, gate in prep.firing:
-            fam = select_family(gate, store)
-            if len(fam.outcomes) != 1:
+            fam, outs = fire(state, gate, store)
+            if len(outs) != 1:
                 raise SimulationError(
                     f"gate {gate.label} measures ({fam.name} has "
-                    f"{len(fam.outcomes)} outcomes); the program has no composite operator")
-            label = fam.outcomes[0].label
-            amps2 = apply_operator(state.amplitudes, fam.outcomes[0].operator,
-                                   gate.wires, width)
-            state = QuantumState(width, amps2)
+                    f"{len(outs)} outcomes); the program has no composite operator")
+            state = post_state(state, fam, outs[0])
             if gate.out is not None:
-                store[gate.out] = label
+                store[gate.out] = outs[0].label
         columns.append(state.amplitudes)
     return np.stack(columns, axis=1)
 
@@ -554,5 +582,5 @@ def enumeration_json(enum: Enumeration, with_states: bool = True) -> dict:
     return {
         "branches": branches,
         "pruned_mass": enum.pruned_mass,
-        "total_probability": sum(b.probability for b in enum.branches),
+        "total_probability": enum.total_probability,
     }

@@ -15,7 +15,8 @@ from qcasm import ast as A
 from qcasm import circuit as C
 from qcasm import qmath as Q
 from qcasm import sim as S
-from qcasm.errors import ScheduleError, SimulationError, UnknownNameError
+from qcasm.errors import (ImpossibleBranchError, ScheduleError, SimulationError,
+                          UnknownNameError)
 from qcasm.parser import parse
 
 from conftest import corpus_program, corpus_text
@@ -337,6 +338,30 @@ def test_sample_counts_total(tele_registry):
     assert sum(counts.values()) == 200
     assert len(counts) == 4
     assert all(30 <= c <= 80 for c in counts.values())
+
+
+def test_pick_never_returns_an_impossible_outcome():
+    # u inside the mass of a leading impossible label: move on to the next
+    # positive label instead of returning one that cannot be collapsed.
+    assert S._pick(((0, 5e-13), (1, 1 - 5e-13)), 1e-13) == (1, 1 - 5e-13)
+    # u inside the mass of a later impossible label: the previous positive one.
+    assert S._pick(((0, 0.5), (1, 1e-13), (2, 0.5)), 0.5 + 5e-14) == (0, 0.5)
+    with pytest.raises(ImpossibleBranchError):
+        S._pick(((0, 1e-13), (1, 0.0)), 0.5)
+
+
+@pytest.mark.parametrize("budget", [0, 256, 1024])
+@pytest.mark.parametrize("name, bindings", [("grover", {"n": 4, "N": 16, "m": 11}),
+                                            ("cnot_mb", {"c": 1, "t": 0})])
+def test_sampler_state_cache_budget_does_not_change_counts(monkeypatch, name, bindings,
+                                                           budget):
+    # A budget too small for every branching node's state makes the sampler
+    # replay states from cached ancestors (or the input state), which must
+    # reproduce the cached path's counts exactly.
+    prog = corpus_program(name)
+    cached = S.sample_distribution(prog, 120, seed=4, bindings=bindings)
+    monkeypatch.setattr(S, "SAMPLE_CACHE_BYTES", budget, raising=False)
+    assert S.sample_distribution(prog, 120, seed=4, bindings=bindings) == cached
 
 
 # ---------------------------------------------------------------------------
