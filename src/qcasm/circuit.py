@@ -324,20 +324,33 @@ def sp_pairs(tree: DecompTree | None) -> frozenset[tuple[Gid, Gid]]:
 def schedule_from_order(pairs: frozenset[tuple[Gid, Gid]],
                         gids: tuple[Gid, ...]) -> Schedule:
     """Greedy layering of a strict partial order: each round takes every
-    gate all of whose predecessors have already fired."""
-    preds: dict[Gid, set[Gid]] = {g: set() for g in gids}
+    gate all of whose predecessors have already fired.  That round is one
+    past the latest round of its predecessors, found in one topological
+    pass over the pairs (gates are numbered so the pass indexes lists)."""
+    index = {g: i for i, g in enumerate(dict.fromkeys(gids))}
+    succs: list[list[int]] = [[] for _ in index]
+    waiting = [0] * len(index)
     for a, b in pairs:
-        if a in preds and b in preds:
-            preds[b].add(a)
-    remaining = set(gids)
-    bouts: list[tuple[Gid, ...]] = []
-    while remaining:
-        ready = tuple(sorted(g for g in remaining if not (preds[g] & remaining)))
-        if not ready:
-            raise ScheduleError("order relation has a cycle")
-        bouts.append(ready)
-        remaining -= set(ready)
-    return tuple(bouts)
+        i, j = index.get(a), index.get(b)
+        if i is not None and j is not None:
+            succs[i].append(j)
+            waiting[j] += 1
+    level = [0] * len(index)
+    done = [i for i, n in enumerate(waiting) if n == 0]
+    for i in done:  # grows as gates become ready
+        after = level[i] + 1
+        for j in succs[i]:
+            if level[j] < after:
+                level[j] = after
+            waiting[j] -= 1
+            if not waiting[j]:
+                done.append(j)
+    if len(done) < len(index):
+        raise ScheduleError("order relation has a cycle")
+    bouts: list[list[Gid]] = [[] for _ in range(max(level, default=-1) + 1)]
+    for g, i in sorted(index.items()):
+        bouts[level[i]].append(g)
+    return tuple(tuple(bout) for bout in bouts)
 
 
 def greedy_schedule(program_or_circuit, tree: DecompTree | None = None) -> Schedule:

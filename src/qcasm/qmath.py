@@ -88,6 +88,17 @@ class QuantumState:
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
+    @classmethod
+    def _unchecked(cls, width: int, amplitudes: np.ndarray) -> "QuantumState":
+        """Wrap a state the package derived itself and knows to be finite
+        and normalized: the array is frozen in place, with no validation
+        pass and no copy, so the caller must hold no other reference."""
+        amplitudes.setflags(write=False)
+        state = object.__new__(cls)
+        object.__setattr__(state, "width", width)
+        object.__setattr__(state, "amplitudes", amplitudes)
+        return state
+
 
 @dataclass(frozen=True)
 class Outcome:
@@ -358,7 +369,8 @@ def outcome_vectors(s: QuantumState, f: MeasurementFamily, wires: Sequence[int],
                     labels: Sequence[int] | None = None) -> tuple[OutcomeVector, ...]:
     """A_i |s> for the given labels (default: every outcome, in family
     order), one operator application each.  A squared norm above
-    1 + ATOL means the family is not complete and is rejected."""
+    1 + ATOL means the family is not complete and is rejected; so is a
+    non-finite one, so every vector returned is finite."""
     ws = check_wires(wires, s.width)
     if len(ws) != f.arity:
         raise InvalidFamilyError(f"{f.name}: family of arity {f.arity} applied to {len(ws)} wires")
@@ -366,19 +378,24 @@ def outcome_vectors(s: QuantumState, f: MeasurementFamily, wires: Sequence[int],
     for label in f.labels if labels is None else labels:
         vec = apply_operator(s.amplitudes, f.operator(label), ws, s.width)
         norm2 = float(np.real(np.vdot(vec, vec)))
-        if norm2 > 1.0 + ATOL:
-            raise InvalidFamilyError(f"{f.name}: outcome probability {norm2} exceeds 1")
+        if not norm2 <= 1.0 + ATOL:  # also true for nan
+            raise InvalidFamilyError(f"{f.name}: outcome probability {norm2} is not at most 1")
         out.append(OutcomeVector(label, min(max(norm2, 0.0), 1.0), vec, norm2))
     return tuple(out)
 
 
 def post_state(s: QuantumState, f: MeasurementFamily, o: OutcomeVector) -> QuantumState:
-    """The post-measurement state A_i |s> / ||A_i |s>|| of a taken outcome."""
+    """The post-measurement state A_i |s> / ||A_i |s>|| of a taken outcome.
+
+    ``outcome_vectors`` has already bounded the squared norm (finite, at
+    most 1 + ATOL) and this rejects it below PRUNE_EPS, so the quotient
+    is finite and normalized by construction and is not validated again.
+    """
     if o.norm2 < PRUNE_EPS:
         raise ImpossibleBranchError(
             f"{f.name}: outcome {o.label} has probability {o.norm2:.3e} below {PRUNE_EPS}"
         )
-    return QuantumState(s.width, o.vector / math.sqrt(o.norm2))
+    return QuantumState._unchecked(s.width, o.vector / math.sqrt(o.norm2))
 
 
 def outcome_probability(s: QuantumState, f: MeasurementFamily, wires: Sequence[int], label: int) -> float:

@@ -7,6 +7,8 @@ must return exactly the survivors.
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcasm import ast as A
 from qcasm import circuit as C
@@ -249,6 +251,58 @@ def test_schedule_from_order_detects_cycles():
     a, b = (1, 0), (2, 0)
     with pytest.raises(ScheduleError, match="cycle"):
         C.schedule_from_order(frozenset({(a, b), (b, a)}), (a, b))
+
+
+def layering_reference(pairs, gids):
+    """Round-by-round greedy layering: rescan the remaining gates each
+    round and take those with no remaining predecessor."""
+    preds = {g: set() for g in gids}
+    for a, b in pairs:
+        if a in preds and b in preds:
+            preds[b].add(a)
+    remaining = set(gids)
+    bouts = []
+    while remaining:
+        ready = tuple(sorted(g for g in remaining if not (preds[g] & remaining)))
+        if not ready:
+            raise ScheduleError("order relation has a cycle")
+        bouts.append(ready)
+        remaining -= set(ready)
+    return tuple(bouts)
+
+
+@st.composite
+def orders(draw):
+    """Random gate sets with random pair sets: a DAG along a random
+    numbering, plus pairs naming unknown gates, plus sometimes one back
+    edge that may close a cycle."""
+    n = draw(st.integers(0, 12))
+    gids = draw(st.permutations([(w, k) for w in range(1, 4) for k in range(4)][:n]))
+    pairs = set()
+    if n > 1:
+        for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                  max_size=3 * n)):
+            if i < j:
+                pairs.add((gids[i], gids[j]))
+        if draw(st.booleans()):
+            i, j = draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+            pairs.add((gids[max(i, j)], gids[min(i, j)]))
+    if draw(st.booleans()):
+        pairs.add(((9, 9), gids[0] if gids else (1, 0)))
+    return frozenset(pairs), tuple(gids)
+
+
+@settings(max_examples=400, deadline=None)
+@given(orders())
+def test_schedule_from_order_matches_round_by_round_layering(order):
+    pairs, gids = order
+    try:
+        want = layering_reference(pairs, gids)
+    except ScheduleError:
+        with pytest.raises(ScheduleError, match="cycle"):
+            C.schedule_from_order(pairs, gids)
+        return
+    assert C.schedule_from_order(pairs, gids) == want
 
 
 def test_check_schedule_rejections():

@@ -8,6 +8,7 @@ Regenerate the files only when an output change is intended:
     PYTHONPATH=src python tests/test_golden.py
 """
 import contextlib
+import hashlib
 import io
 import pathlib
 
@@ -43,6 +44,17 @@ CASES = {
     "enumerate_cnot_mb_liberal": ("enumerate", CNOT_LIBERAL,
                                   "--param", "c=1", "--param", "t=0"),
     "enumerate_phase_est": ("enumerate", PHASE_EST, "--registry", PE_REG),
+    "run_teleport_seed4": ("run", TELEPORT, "--registry", TELE_REG, "--seed", "4"),
+    "run_cnot_mb_seed6": ("run", CNOT, "--param", "c=1", "--param", "t=1",
+                          "--seed", "6"),
+    "run_cnot_mb_liberal_seed8": ("run", CNOT_LIBERAL, "--param", "c=0",
+                                  "--param", "t=1", "--seed", "8"),
+    "run_phase_est_seed1": ("run", PHASE_EST, "--registry", PE_REG, "--seed", "1"),
+    "enumerate_grover3": ("enumerate", GROVER, "--param", "n=3", "--param", "N=8",
+                          "--param", "m=5"),
+    "lower_teleport": ("lower", TELEPORT, "--registry", TELE_REG, "--format", "json"),
+    "schedules_teleport": ("schedules", TELEPORT, "--registry", TELE_REG,
+                           "--format", "json"),
 }
 
 
@@ -58,6 +70,25 @@ def render(argv) -> str:
 def test_cli_output_matches_golden(name):
     expected = (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
     assert render(CASES[name]) == expected
+
+
+# qft n=12 on the odd basis ket |j>: every one of the 4096 output
+# amplitudes is a generic complex number.  The output is about 230 KB,
+# so it is pinned by its SHA-256 rather than a committed file.
+QFT12_KET = 2931
+QFT12_SHA256 = "428354a52754daaa29f29af7beb8e44d2b9075e470b4d348a0c9d00ea9270dc0"
+
+
+def test_large_state_run_matches_digest(tmp_path):
+    text = (PROGRAMS / "qft.qcasm").read_text(encoding="utf-8")
+    head = "param n = 3\n"
+    assert head in text
+    path = tmp_path / "qft12_ket.qcasm"
+    path.write_text(text.replace(head, f"{head}ket {QFT12_KET:012b} on 1..n;\n"),
+                    encoding="utf-8")
+    out = render(("run", str(path), "--param", "n=12", "--seed", "7"))
+    assert len(out) > 200_000
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == QFT12_SHA256
 
 
 if __name__ == "__main__":

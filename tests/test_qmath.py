@@ -351,6 +351,30 @@ def test_outcome_probability_and_collapse():
         Q.collapse(zero, sm, (1,), 1)
 
 
+def test_post_state_is_frozen_and_normalized_without_revalidation():
+    rng = np.random.default_rng(5)
+    s = random_state(rng, 3)
+    pm = Q.std_gate("PM")
+    for o in Q.outcome_vectors(s, pm, (3, 1)):
+        t = Q.post_state(s, pm, o)
+        assert t.width == 3
+        assert not t.amplitudes.flags.writeable
+        assert abs(np.linalg.norm(t.amplitudes) - 1.0) <= Q.ATOL
+        assert np.allclose(t.amplitudes, o.vector / np.linalg.norm(o.vector))
+    # states built from outside input are still checked in full
+    with pytest.raises(InvalidStateError):
+        Q.QuantumState(1, np.array([0.6, 0.6], dtype=complex))
+    with pytest.raises(InvalidStateError):
+        Q.QuantumState(1, np.array([np.inf, 0.0], dtype=complex))
+    with pytest.raises(InvalidStateError):
+        Q.make_state([np.nan, 1.0], 1)
+    # an operator whose product overflows (to inf + nan j) never reaches
+    # post_state: its nan probability is rejected like one above 1
+    huge = Q.MeasurementFamily("huge", 1, (Q.Outcome(0, np.full((2, 2), 1.5e308)),))
+    with np.errstate(all="ignore"), pytest.raises(InvalidFamilyError, match="nan"):
+        Q.collapse(Q.make_state("plus", 1), huge, (1,), 0)
+
+
 def test_parity_measurement_on_bell():
     bell = Q.make_state("bell00", 2)
     pm = Q.std_gate("PM")

@@ -457,6 +457,30 @@ def test_emit_json_rejects_non_finite():
         S.emit_json([float("inf")])
 
 
+def test_emit_json_renders_pair_arrays_like_nested_lists():
+    rng = np.random.default_rng(17)
+    special = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e22,
+               1.0, -1.0, 1 / 3, np.finfo(float).max, -np.finfo(float).max]
+    for m in (1, 2, 5, 37, 300):
+        arr = rng.normal(size=(m, 2)) * 10.0 ** rng.integers(-20, 20, size=(m, 2))
+        picks = rng.integers(0, len(special), size=m)
+        arr[:, rng.integers(0, 2)] = np.array(special)[picks]
+        for indent in (0, 1, 2, 5):
+            assert S.emit_json(arr, indent) == S.emit_json(arr.tolist(), indent)
+        doc = {"state": {"width": 1, "amplitudes": arr}}
+        assert S.emit_json(doc) == S.emit_json({"state": {"width": 1,
+                                                          "amplitudes": arr.tolist()}})
+    empty = np.zeros((0, 2))
+    assert S.emit_json(empty) == S.emit_json([]) == "[]"
+    for bad in (np.nan, np.inf, -np.inf):
+        arr = np.zeros((4, 2))
+        arr[2, 1] = bad
+        with pytest.raises(SimulationError, match="non-finite"):
+            S.emit_json(arr)
+    with pytest.raises(SimulationError, match="ndarray"):
+        S.emit_json(np.zeros((2, 3)))
+
+
 def test_emit_json_scalars():
     assert S.emit_json(True) == "true"
     assert S.emit_json(None) == "null"
