@@ -675,6 +675,17 @@ def _merge_bindings(params: tuple[ParamDecl, ...], bindings: Mapping[str, int] |
 class _Elaborator:
     def __init__(self, registry: Registry | None):
         self.registry = registry if registry is not None else Registry()
+        # Each family this elaboration has built (and checked once), keyed
+        # by its evaluated name, parameters and power; all gates that use
+        # it share the one immutable object.  It lives for one elaborate()
+        # call, as the registry may change between calls.
+        self.families: dict[tuple, MeasurementFamily] = {}
+
+    def memo(self, key: tuple, build) -> MeasurementFamily:
+        fam = self.families.get(key)
+        if fam is None:
+            fam = self.families[key] = build()
+        return fam
 
     def eval(self, e: Expr, env) -> int:
         v = eval_static(e, env, self.registry)
@@ -713,19 +724,23 @@ class _Elaborator:
                 )
         return e
 
-    def family(self, mexpr: MeasurementExpr, env, arity: int) -> MeasurementFamily:
+    def family(self, mexpr: MeasurementExpr, env,
+               arity: int) -> tuple[tuple, MeasurementFamily]:
+        """Resolve a measurement expression to its memo key and family."""
         params = tuple(self.eval(p, env) for p in mexpr.params)
-        fam = self.registry.family(mexpr.name, params)
+        key = ("family", mexpr.name, params)
+        fam = self.memo(key, lambda: self.registry.family(mexpr.name, params))
         if mexpr.power is not None:
             e = self.eval(mexpr.power, env)
             if e < 0:
                 raise ElaborationError(f"{mexpr.name}: power exponent must be >= 0, got {e}")
-            fam = qmath.family_power(fam, 2**e)
+            base, key = fam, key + (e,)
+            fam = self.memo(key, lambda: qmath.family_power(base, 2**e))
         if fam.arity != arity:
             raise ElaborationError(
                 f"{fam.name} acts on {fam.arity} wire(s) but is applied to {arity}"
             )
-        return fam
+        return key, fam
 
     def gate(self, r: GateRule, env) -> GateRule:
         wires = self.wires(r.wires, env)
@@ -739,17 +754,20 @@ class _Elaborator:
             if isinstance(branch, MeasurementFamily):
                 entries.append((guard_expr, branch))
                 continue
-            base = self.family(branch, env, arity)
+            key, base = self.family(branch, env, arity)
             if branch.phase is not None:
                 phase = self.runtime_expr(branch.phase, env)
                 even = BinOp("=", BinOp("mod", phase, IntLit(2)), IntLit(0))
                 even_guard = even if guard_expr is None else BinOp("and", guard_expr, even)
                 entries.append((even_guard, base))
-                entries.append((guard_expr, qmath.scaled_family(base, -1.0, name=f"-{base.name}")))
+                entries.append((guard_expr, self.memo(
+                    ("negated", key),
+                    lambda: qmath.scaled_family(base, -1.0, name=f"-{base.name}"))))
             else:
                 entries.append((guard_expr, base))
         if entries[-1][0] is not None:
-            entries.append((None, qmath.identity_family(arity)))
+            entries.append((None, self.memo(("identity", arity),
+                                            lambda: qmath.identity_family(arity))))
         guards = tuple(g for g, _ in entries[:-1])
         if any(g is None for g in guards):
             raise ElaborationError("conditional gate has a non-final default branch")

@@ -353,6 +353,31 @@ def schedule_from_order(pairs: frozenset[tuple[Gid, Gid]],
     return tuple(tuple(bout) for bout in bouts)
 
 
+def _tree_schedule(tree: DecompTree) -> Schedule:
+    """Greedy layering of the tree's own order, in one walk: a leaf fires
+    in the current round, a "seq" node runs its children one after
+    another, and a "par" node starts all of them in the same round and
+    ends with the latest.  This equals schedule_from_order(sp_pairs(tree),
+    decomp_leaves(tree)) without building the order's pairs."""
+    level: dict[Gid, int] = {}
+
+    def walk(t: DecompTree, start: int) -> int:
+        """Place t from round ``start``; return the first round after it."""
+        if isinstance(t, DecompLeaf):
+            level[t.gid] = start
+            return start + 1
+        if t.kind == "seq":
+            for c in t.children:
+                start = walk(c, start)
+            return start
+        return max((walk(c, start) for c in t.children), default=start)
+
+    bouts: list[list[Gid]] = [[] for _ in range(walk(tree, 0))]
+    for g in sorted(level):
+        bouts[level[g]].append(g)
+    return tuple(tuple(bout) for bout in bouts)
+
+
 def greedy_schedule(program_or_circuit, tree: DecompTree | None = None) -> Schedule:
     """The canonical schedule: greedy layering of the program's own
     series-parallel order (falling back to the prerequisite relation
@@ -362,7 +387,7 @@ def greedy_schedule(program_or_circuit, tree: DecompTree | None = None) -> Sched
     else:
         circuit = program_or_circuit
     if tree is not None:
-        return schedule_from_order(sp_pairs(tree), decomp_leaves(tree))
+        return _tree_schedule(tree)
     pairs = frozenset((p, gid) for gid, ps in circuit.closure().items() for p in ps)
     return schedule_from_order(pairs, circuit.gids)
 

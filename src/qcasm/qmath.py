@@ -637,8 +637,9 @@ def load_registry(source, into: Registry | None = None) -> Registry:
                 rows = oc["matrix"]
                 mat = [[_complex_from_pair(cell, name) for cell in row] for row in rows]
                 outcomes.append((int(oc["label"]), np.array(mat, dtype=_COMPLEX)))
-            fam = make_family(name, arity, outcomes)
-            reg.register_family(fam)
+            # register_family checks completeness, once.
+            reg.register_family(MeasurementFamily(
+                name, arity, tuple(Outcome(label, op) for label, op in outcomes)))
         elif "amplitudes" in entry:
             amps = [_complex_from_pair(pair, name) for pair in entry["amplitudes"]]
             if "qubits" in entry and 2 ** int(entry["qubits"]) != len(amps):

@@ -371,6 +371,7 @@ class _Node:
     fired: tuple | None = None         # (gate, family, (label, probability) per outcome)
     missing: int = 0                   # positive-probability children not yet built
     children: dict = field(default_factory=dict)
+    jump: tuple | None = None          # (gates crossed, node) past a forced run
 
 
 def sample_distribution(program: ast.Program | PreparedProgram, shots: int,
@@ -384,8 +385,13 @@ def sample_distribution(program: ast.Program | PreparedProgram, shots: int,
     firing on a cached state, a repeat shot one random draw per gate.  A
     node keeps its state until all its positive-probability children
     exist, within ``SAMPLE_CACHE_BYTES``; beyond that budget a state is
-    replayed, with the same floats, from its deepest cached ancestor."""
+    replayed, with the same floats, from its deepest cached ancestor.
+    A forced node (one outcome of positive probability, e.g. a unitary
+    gate) always takes that outcome, so once its child exists it jumps
+    past the whole run of forced nodes that follows: a later shot makes
+    the run's draws, one per gate, and moves to its end in one step."""
     prep = _prepared(program, bindings, registry, schedule)
+    gates = [gate for _step, gate in prep.firing]
     initial = prep.input_state()
     root = _Node(None, None, {})
     cached = 0
@@ -404,19 +410,32 @@ def sample_distribution(program: ast.Program | PreparedProgram, shots: int,
         return state
 
     for k in range(shots):
-        rng = random.Random(seed + k)
-        node, state = root, initial
-        for _step, gate in prep.firing:
+        draw = random.Random(seed + k).random
+        node, state, i = root, initial, 0
+        while i < len(gates):
+            if node.jump is not None:
+                steps, target = node.jump
+                while target.jump is not None:  # runs joined since the jump was set
+                    more, target = target.jump
+                    steps += more
+                node.jump = (steps, target)
+                for _ in range(steps):
+                    draw()
+                node, i = target, i + steps
+                continue
+            gate = gates[i]
             outs = None
+            forced = False
             if node.fired is None:
                 fam, outs = fire(state, gate, node.store)
                 node.fired = (gate, fam, tuple((o.label, o.probability) for o in outs))
                 node.missing = sum(o.probability > PRUNE_EPS for o in outs)
+                forced = node.missing == 1
                 if node.missing > 1 and cached + state.amplitudes.nbytes <= SAMPLE_CACHE_BYTES:
                     node.state = state
                     cached += state.amplitudes.nbytes
             _gate, fam, table = node.fired
-            taken = _pick(table if outs is None else outs, rng.random())
+            taken = _pick(table if outs is None else outs, draw())
             label = taken[0]
             child = node.children.get(label)
             if child is None:
@@ -429,7 +448,9 @@ def sample_distribution(program: ast.Program | PreparedProgram, shots: int,
                 if node.missing == 0 and node.state is not None:
                     cached -= node.state.amplitudes.nbytes
                     node.state = None
-            node = child
+            if forced:
+                node.jump = (1, child)
+            node, i = child, i + 1
         counts[node.key] = counts.get(node.key, 0) + 1
     return counts
 

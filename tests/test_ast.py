@@ -249,6 +249,65 @@ def test_power_suffix_squares_repeatedly():
         ground_body("X_pow(0 - 1)(1)")
 
 
+def count_validations(monkeypatch) -> list:
+    """Record the name of every family qmath checks for completeness."""
+    names: list[str] = []
+    check = Q.validate_family
+
+    def counting(f):
+        names.append(f.name)
+        return check(f)
+
+    monkeypatch.setattr(Q, "validate_family", counting)
+    return names
+
+
+def test_elaboration_checks_each_family_once(monkeypatch):
+    names = count_validations(monkeypatch)
+    A.elaborate(corpus_program("qft"), {"n": 8})
+    # cR_k resolves R_k first, then builds and checks the controlled form.
+    rotations = [f"{c}R_{k}" for k in range(2, 9) for c in ("", "c")]
+    assert sorted(names) == sorted(["H", "SWAP", *rotations])
+    names.clear()
+    A.elaborate(corpus_program("grover"), {"n": 6, "N": 64, "m": 45})
+    assert sorted(names) == ["H", "mark_(6,45)", "reflect0_6"]
+
+
+def test_gates_share_one_family_per_name_and_params():
+    r = ground_body("p := SM(1); q := SM(2);\n"
+                    "for i = 1 to 3: { (-1)^p X(3); if q = 1 then Z(3); "
+                    "X_pow(i - i + 1)(3); R_(i - i + 2)(3); H(i) }")
+    seen: dict = {}
+    for _, gate in A._gate_rules(r, "body"):
+        for fam in gate.branches:
+            assert seen.setdefault(fam.name, fam) is fam, fam.name
+    assert sorted(seen) == ["-X", "H", "I", "R_2", "SM", "X", "X^2", "Z"]
+
+
+def test_family_memo_keeps_the_arity_check_at_each_use():
+    with pytest.raises(ElaborationError, match="acts on 1 wire"):
+        ground_body("H(1); H(1, 2)")
+
+
+def test_family_memo_lasts_one_elaboration():
+    prog = parse("H(1); U(2)")
+    families = []
+    for u in (Q._X, Q._Z):
+        reg = Q.Registry()
+        reg.register_family(Q.unitary_family("U", u))
+        ground = A.elaborate(prog, None, reg)
+        families.append(ground.body.parts[1].branches[0])
+    assert np.allclose(families[0].outcomes[0].operator, Q._X)
+    assert np.allclose(families[1].outcomes[0].operator, Q._Z)
+    # A family registered after an elaboration shadows the library gate
+    # in the next one that uses the same registry.
+    before = A.elaborate(prog, None, reg).body.parts[0].branches[0]
+    reg.register_family(Q.unitary_family("H", np.eye(2)))
+    after = A.elaborate(prog, None, reg).body.parts[0].branches[0]
+    assert np.allclose(before.outcomes[0].operator, Q._H)
+    assert np.allclose(after.outcomes[0].operator, np.eye(2))
+
+
 def test_subscript_parameters_evaluate():
     r = ground_body("param k = 2\nR_(k + 1)(1)")
     assert np.allclose(r.branches[0].outcomes[0].operator,

@@ -305,6 +305,44 @@ def test_schedule_from_order_matches_round_by_round_layering(order):
     assert C.schedule_from_order(pairs, gids) == want
 
 
+@st.composite
+def sp_trees(draw):
+    """Random series-parallel trees (single-child and nested same-kind
+    nodes included) over distinct gate ids in a random order."""
+    shape = draw(st.recursive(
+        st.none(),
+        lambda kids: st.tuples(st.sampled_from(["seq", "par"]),
+                               st.lists(kids, min_size=1, max_size=4)),
+        max_leaves=20))
+    pool = iter(draw(st.permutations([(w, k) for w in range(1, 9) for k in range(5)])))
+
+    def build(s):
+        if s is None:
+            return C.DecompLeaf(next(pool))
+        kind, kids = s
+        return C.DecompNode(kind, tuple(build(k) for k in kids))
+
+    return build(shape)
+
+
+@settings(max_examples=400, deadline=None)
+@given(sp_trees())
+def test_greedy_schedule_walks_the_tree_like_its_order(tree):
+    # greedy_schedule(circuit, tree) layers the tree alone, in one walk.
+    want = C.schedule_from_order(C.sp_pairs(tree), C.decomp_leaves(tree))
+    assert C._tree_schedule(tree) == want
+
+
+def test_greedy_schedule_matches_order_layering_on_corpus(pe_registry):
+    bindings = {"qft": {"n": 7}, "grover": {"n": 3, "N": 8, "m": 5}}
+    for name in CORPUS:
+        reg = pe_registry if name == "phase_est" else None
+        prog = A.elaborate(corpus_program(name), bindings.get(name), reg)
+        tree = C.decomposition(prog)
+        want = C.schedule_from_order(C.sp_pairs(tree), C.decomp_leaves(tree))
+        assert C.greedy_schedule(prog) == want, name
+
+
 def test_check_schedule_rejections():
     c = C.lower(teleport())
     ok = C.greedy_schedule(teleport())

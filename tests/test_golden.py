@@ -55,6 +55,15 @@ CASES = {
     "lower_teleport": ("lower", TELEPORT, "--registry", TELE_REG, "--format", "json"),
     "schedules_teleport": ("schedules", TELEPORT, "--registry", TELE_REG,
                            "--format", "json"),
+    "shots_cnot_mb_liberal": ("run", CNOT_LIBERAL, "--param", "c=1", "--param", "t=0",
+                              "--shots", "300", "--seed", "12"),
+    "shots_phase_est": ("run", PHASE_EST, "--registry", PE_REG,
+                        "--shots", "300", "--seed", "3"),
+    # The benchmark's shape: most grover gates are unitary, so shots run
+    # down long chains of single-outcome gates.
+    "shots_grover6": ("run", GROVER, "--param", "n=6", "--param", "N=64",
+                      "--param", "m=45", "--shots", "1000", "--seed", "21"),
+    "enumerate_qft3": ("enumerate", QFT, "--param", "n=3"),
 }
 
 

@@ -449,6 +449,23 @@ def test_load_registry_families_and_states():
                           "outcomes": [{"label": 0, "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}]}])
 
 
+def test_load_registry_checks_each_family_once(monkeypatch):
+    checked = []
+    check = Q.validate_family
+    monkeypatch.setattr(Q, "validate_family", lambda f: checked.append(f.name) or check(f))
+    reg = Q.load_registry([{"name": "G", "arity": 1, "outcomes": [
+        {"label": 0, "matrix": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]}]}])
+    assert checked == ["G"] and "G" in reg.families
+    # A defective entry: outcome 0 keeps only half the amplitude of |1>.
+    checked.clear()
+    with pytest.raises(InvalidFamilyError) as exc:
+        Q.load_registry([{"name": "lossy", "arity": 1, "outcomes": [
+            {"label": 0, "matrix": [[[1, 0], [0, 0]], [[0, 0], [0.5, 0]]]}]}])
+    assert str(exc.value) == ("lossy: operators do not sum to identity "
+                              "(deviation 0.75 at entry (1, 1))")
+    assert checked == ["lossy"]
+
+
 def test_knows_gate():
     reg = Q.Registry()
     assert reg.knows_gate("H") and reg.knows_gate("PM") and reg.knows_gate("cX")

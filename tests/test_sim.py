@@ -350,6 +350,27 @@ def test_pick_never_returns_an_impossible_outcome():
         S._pick(((0, 1e-13), (1, 0.0)), 0.5)
 
 
+@pytest.mark.parametrize("name, bindings, registry", [
+    ("grover", {"n": 4, "N": 16, "m": 6}, None),
+    ("cnot_mb", {"c": 0, "t": 1}, None),
+    ("teleport", None, "tele"),
+    ("phase_est", None, "pe"),
+])
+def test_sample_distribution_tallies_single_runs(name, bindings, registry,
+                                                 tele_registry, pe_registry):
+    # Shot k draws from Random(seed + k), one draw per gate, whether the
+    # sampler fires the gate, reuses a trie node or crosses a chain of
+    # single-outcome gates in one step; so the counts are exactly the
+    # tally of the individual runs.
+    reg = {"tele": tele_registry, "pe": pe_registry, None: None}[registry]
+    prep = S.prepare(corpus_program(name), bindings, reg)
+    tally: dict = {}
+    for k in range(300):
+        outcomes = S.run(prep, seed=40 + k).outcomes
+        tally[outcomes] = tally.get(outcomes, 0) + 1
+    assert S.sample_distribution(prep, 300, seed=40) == tally
+
+
 @pytest.mark.parametrize("budget", [0, 256, 1024])
 @pytest.mark.parametrize("name, bindings", [("grover", {"n": 4, "N": 16, "m": 11}),
                                             ("cnot_mb", {"c": 1, "t": 0})])
