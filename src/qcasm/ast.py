@@ -14,6 +14,7 @@ returns diagnostics tagged with the violated clause.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, fields
 from typing import Mapping, Union
@@ -395,80 +396,62 @@ class Program:
 # attributes of ground rules
 # ---------------------------------------------------------------------------
 
+def _parts(r: Rule) -> tuple[str | None, tuple[Rule, ...]]:
+    """The field that holds a rule's sub-rules, and the sub-rules: a
+    conditional's branches, a parallel's bodies, a sequence's parts.
+    Gate rules, classical assignments and skip have none; a field of
+    None marks a shape only surface programs have (a for-loop)."""
+    if isinstance(r, (GateRule, ClassicalAssign, Skip)):
+        return "", ()
+    if isinstance(r, ClassicalCond):
+        return "branches", r.branches
+    if isinstance(r, Parallel):
+        return "bodies", r.bodies
+    if isinstance(r, Sequential):
+        return "parts", r.parts
+    return None, ()
+
+
+def _ground_parts(r: Rule, walker: str) -> tuple[Rule, ...]:
+    name, parts = _parts(r)
+    if name is None:
+        raise ElaborationError(f"{walker} needs a ground rule, got {type(r).__name__}")
+    return parts
+
+
+def _gate_union(r: Rule, leaf, walker: str) -> frozenset:
+    """Union of leaf(g) over the gate rules g of r, not descending into
+    classical conditionals (they hold no gate rules when well formed)."""
+    if isinstance(r, GateRule):
+        return leaf(r)
+    if isinstance(r, ClassicalCond):
+        return frozenset()
+    return frozenset().union(*(_gate_union(p, leaf, walker) for p in _ground_parts(r, walker)))
+
+
 def wire_set(r: Rule) -> frozenset[int]:
     """Wires a ground rule acts on; classical rules act on none."""
-    if isinstance(r, GateRule):
-        return frozenset(int(w) for w in r.wires)
-    if isinstance(r, (ClassicalAssign, ClassicalCond, Skip)):
-        return frozenset()
-    if isinstance(r, Parallel):
-        out: frozenset[int] = frozenset()
-        for b in r.bodies:
-            out |= wire_set(b)
-        return out
-    if isinstance(r, Sequential):
-        out = frozenset()
-        for p in r.parts:
-            out |= wire_set(p)
-        return out
-    raise ElaborationError(f"wire_set needs a ground rule, got {type(r).__name__}")
+    return _gate_union(r, lambda g: frozenset(int(w) for w in g.wires), "wire_set")
 
 
 def output_vars(r: Rule) -> frozenset[str]:
     """Channel variables a ground rule assigns; classical rules assign none."""
-    if isinstance(r, GateRule):
-        return frozenset((r.out,)) if r.out else frozenset()
-    if isinstance(r, (ClassicalAssign, ClassicalCond, Skip)):
-        return frozenset()
-    if isinstance(r, Parallel):
-        out: frozenset[str] = frozenset()
-        for b in r.bodies:
-            out |= output_vars(b)
-        return out
-    if isinstance(r, Sequential):
-        out = frozenset()
-        for p in r.parts:
-            out |= output_vars(p)
-        return out
-    raise ElaborationError(f"output_vars needs a ground rule, got {type(r).__name__}")
+    return _gate_union(r, lambda g: frozenset((g.out,)) if g.out else frozenset(), "output_vars")
 
 
 def subrules(r: Rule) -> tuple[Rule, ...]:
     """The rule itself plus, for compositions and conditionals, all
     constituents' subrules."""
-    if isinstance(r, (GateRule, ClassicalAssign, Skip)):
-        return (r,)
-    if isinstance(r, ClassicalCond):
-        out: list[Rule] = [r]
-        for b in r.branches:
-            out.extend(subrules(b))
-        return tuple(out)
-    if isinstance(r, Parallel):
-        out = [r]
-        for b in r.bodies:
-            out.extend(subrules(b))
-        return tuple(out)
-    if isinstance(r, Sequential):
-        out = [r]
-        for p in r.parts:
-            out.extend(subrules(p))
-        return tuple(out)
-    raise ElaborationError(f"subrules needs a ground rule, got {type(r).__name__}")
+    out: list[Rule] = [r]
+    for p in _ground_parts(r, "subrules"):
+        out.extend(subrules(p))
+    return tuple(out)
 
 
 def is_classical(r: Rule) -> bool:
     """True when the rule contains no gate rule at all."""
-    if isinstance(r, GateRule):
-        return False
-    if isinstance(r, (ClassicalAssign, Skip)):
-        return True
-    if isinstance(r, ClassicalCond):
-        return all(is_classical(b) for b in r.branches)
-    if isinstance(r, Parallel):
-        return all(is_classical(b) for b in r.bodies)
-    if isinstance(r, Sequential):
-        return all(is_classical(p) for p in r.parts)
-    return False
+    name, parts = _parts(r)
+    return name is not None and not isinstance(r, GateRule) and all(map(is_classical, parts))
 
 
 def is_ground(r: Rule) -> bool:
@@ -478,15 +461,12 @@ def is_ground(r: Rule) -> bool:
             and all(isinstance(b, MeasurementFamily) for b in r.branches)
             and all(isinstance(w, int) for w in r.wires)
         )
-    if isinstance(r, (ClassicalAssign, Skip)):
-        return True
-    if isinstance(r, ClassicalCond):
-        return len(r.branches) == len(r.guards) + 1 and all(is_ground(b) for b in r.branches)
-    if isinstance(r, Parallel):
-        return r.binder is None and all(is_ground(b) for b in r.bodies)
-    if isinstance(r, Sequential):
-        return all(is_ground(p) for p in r.parts)
-    return isinstance(r, Skip)
+    if isinstance(r, ClassicalCond) and len(r.branches) != len(r.guards) + 1:
+        return False
+    if isinstance(r, Parallel) and r.binder is not None:
+        return False
+    name, parts = _parts(r)
+    return name is not None and all(map(is_ground, parts))
 
 
 def _occurring_names(r: Rule) -> frozenset[str]:
@@ -494,46 +474,21 @@ def _occurring_names(r: Rule) -> frozenset[str]:
     output variables, and classical assignment targets."""
     if isinstance(r, GateRule):
         out: frozenset[str] = frozenset((r.out,)) if r.out else frozenset()
-        for g in r.guards:
-            out |= expr_names(g)
-        return out
-    if isinstance(r, ClassicalAssign):
-        out = frozenset((r.target,)) | expr_names(r.value)
-        for a in r.target_args:
-            out |= expr_names(a)
-        return out
-    if isinstance(r, ClassicalCond):
-        out = frozenset()
-        for g in r.guards:
-            out |= expr_names(g)
-        for b in r.branches:
-            out |= _occurring_names(b)
-        return out
-    if isinstance(r, Parallel):
-        out = frozenset()
-        for b in r.bodies:
-            out |= _occurring_names(b)
-        return out
-    if isinstance(r, Sequential):
-        out = frozenset()
-        for p in r.parts:
-            out |= _occurring_names(p)
-        return out
-    return frozenset()
+        reads: tuple[Expr, ...] = r.guards
+    elif isinstance(r, ClassicalAssign):
+        out, reads = frozenset((r.target,)), (r.value, *r.target_args)
+    else:  # a conditional reads its guards; compositions read nothing themselves
+        out, reads = frozenset(), getattr(r, "guards", ())
+    return out.union(*map(expr_names, reads), *map(_occurring_names, _parts(r)[1]))
 
 
 def _gate_rules(r: Rule, path: str):
     if isinstance(r, GateRule):
         yield path, r
-    elif isinstance(r, ClassicalCond):
-        for i, b in enumerate(r.branches):
-            yield from _gate_rules(b, f"{path}.branches[{i}]")
-    elif isinstance(r, Parallel):
-        for i, b in enumerate(r.bodies):
-            yield from _gate_rules(b, f"{path}.bodies[{i}]")
-    elif isinstance(r, Sequential):
-        for i, p in enumerate(r.parts):
-            yield from _gate_rules(p, f"{path}.parts[{i}]")
+        return
+    name, parts = _parts(r)
+    for i, p in enumerate(parts):
+        yield from _gate_rules(p, f"{path}.{name}[{i}]")
 
 
 # ---------------------------------------------------------------------------
@@ -613,29 +568,28 @@ def well_formed(rule: Rule, external: frozenset[str] = frozenset()) -> list[Diag
                 new_dyn |= dyn
             return frozenset(), new_dyn
         if isinstance(r, Parallel):
-            infos = []
-            for i, b in enumerate(r.bodies):
-                ch, dyn = check(b, channels, dynamics, f"{path}.bodies[{i}]")
-                infos.append((i, b, ch, dyn))
-            for i, b, _, _ in infos:
-                for j, b2, _, _ in infos:
-                    if i < j and wire_set(b) & wire_set(b2):
-                        clash = sorted(wire_set(b) & wire_set(b2))
-                        report(f"parallel components must have pairwise disjoint wire sets; "
-                               f"wires {clash} are shared between components {i} and {j}",
-                               CLAUSE_PARALLEL_DISJOINT_WIRES, path, r.pos)
-            for i, b, _, _ in infos:
-                outs = output_vars(b)
-                for j, b2, _, _ in infos:
+            # Each component's facts are found once: what check() defines
+            # (its output variables and new dynamic names), its wire set
+            # and the names occurring in it.
+            defined = [check(b, channels, dynamics, f"{path}.bodies[{i}]")
+                       for i, b in enumerate(r.bodies)]
+            wires = [wire_set(b) for b in r.bodies]
+            names = [_occurring_names(b) for b in r.bodies]
+            for i, j in itertools.combinations(range(len(wires)), 2):
+                if wires[i] & wires[j]:
+                    report(f"parallel components must have pairwise disjoint wire sets; "
+                           f"wires {sorted(wires[i] & wires[j])} are shared between "
+                           f"components {i} and {j}",
+                           CLAUSE_PARALLEL_DISJOINT_WIRES, path, r.pos)
+            for i, (outs, _) in enumerate(defined):
+                for j, used in enumerate(names):
                     if i != j:
-                        used = outs & _occurring_names(b2)
-                        for n in sorted(used):
+                        for n in sorted(outs & used):
                             report(f"output variable {n!r} of one parallel component occurs "
                                    f"in a sibling component",
                                    CLAUSE_PARALLEL_SIBLING_OUTPUT, path, r.pos)
-            new_ch = frozenset().union(*(ch for _, _, ch, _ in infos)) if infos else frozenset()
-            new_dyn = frozenset().union(*(dyn for _, _, _, dyn in infos)) if infos else frozenset()
-            return new_ch, new_dyn
+            return (frozenset().union(*(ch for ch, _ in defined)),
+                    frozenset().union(*(dyn for _, dyn in defined)))
         if isinstance(r, Sequential):
             acc_ch: frozenset[str] = frozenset()
             acc_dyn: frozenset[str] = frozenset()
@@ -890,19 +844,14 @@ def elaborate(program: Program, bindings: Mapping[str, int] | None = None,
     env = _merge_bindings(program.params, bindings)
     elab = _Elaborator(registry)
     body = elab.rule(program.body, env)
-    decl = elab.input_decl(program.input_decl, env)
-    width = 1
-    for w in wire_set(body):
-        width = max(width, w)
-    if decl is not None:
-        for c in decl.conjuncts:
-            width = max(width, max(c.wires))
+    ground = Program((), elab.input_decl(program.input_decl, env), body)
+    width = program_width(ground)
     if width > qmath.MAX_WIDTH:
         raise ElaborationError(f"program width {width} exceeds the maximum {qmath.MAX_WIDTH}")
-    for _, g in _gate_rules(body, "body"):
+    for _, g in _gate_rules(ground.body, "body"):
         if g.out in env:
             raise ElaborationError(f"output variable {g.out!r} collides with a parameter name")
-    return Program((), decl, body)
+    return ground
 
 
 def program_width(program: Program) -> int:

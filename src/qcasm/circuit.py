@@ -72,17 +72,15 @@ class Gate:
 class GeneralizedCircuit:
     """Gates plus wiring: quantum links and classical dependencies.
 
-    ``links`` maps each wire endpoint to its successor endpoint.  The
-    endpoints of wire w are ("in", w), ("entry", gid, w), ("exit", gid, w)
-    and ("out", w); following links from ("in", w) walks the gates on w
-    in order.  ``classical_deps`` holds (producer, consumer, variable)
-    triples, one per guard variable read.  ``prereq`` gives each gate's
-    direct prerequisites (previous gate on each wire, plus producers of
-    guard variables).
+    ``wiring`` maps each wire 1..width to the gates on it, in order.
+    ``classical_deps`` holds (producer, consumer, variable) triples, one
+    per guard variable read.  ``prereq`` gives each gate's direct
+    prerequisites (previous gate on each wire, plus producers of guard
+    variables).
     """
     width: int
     gates: tuple[Gate, ...]
-    links: dict
+    wiring: dict[int, tuple[Gid, ...]]
     classical_deps: tuple[tuple[Gid, Gid, str], ...]
     prereq: dict[Gid, frozenset[Gid]]
     _closure: dict | None = field(default=None, compare=False, repr=False)
@@ -123,14 +121,8 @@ class GeneralizedCircuit:
         return a != b and a not in closed[b] and b not in closed[a]
 
     def wire_order(self, w: int) -> tuple[Gid, ...]:
-        """The gates on wire w, following the links from ("in", w)."""
-        out = []
-        node = self.links.get(("in", w))
-        while node is not None and node[0] == "entry":
-            _, gid, _ = node
-            out.append(gid)
-            node = self.links.get(("exit", gid, w))
-        return tuple(out)
+        """The gates on wire w, in order."""
+        return self.wiring.get(w, ())
 
     def to_json(self) -> dict:
         from .parser import pretty_expr
@@ -145,8 +137,7 @@ class GeneralizedCircuit:
             })
         deps = [{"producer": list(p), "consumer": list(c), "variable": v}
                 for p, c, v in self.classical_deps]
-        wiring = {str(w): [list(g) for g in self.wire_order(w)]
-                  for w in range(1, self.width + 1)}
+        wiring = {str(w): [list(g) for g in gids] for w, gids in self.wiring.items()}
         return {"width": self.width, "gates": gates,
                 "wiring": wiring, "classical_deps": deps}
 
@@ -184,11 +175,7 @@ def _require_ground(program: ast.Program) -> ast.Program:
 
 class _Lowerer:
     def __init__(self, width: int):
-        self.width = width
-        self.last: dict[int, tuple] = {w: ("in", w) for w in range(1, width + 1)}
-        self.last_gate: dict[int, Gid | None] = {w: None for w in range(1, width + 1)}
-        self.chain_len: dict[int, int] = {w: 0 for w in range(1, width + 1)}
-        self.links: dict = {}
+        self.wiring: dict[int, list[Gid]] = {w: [] for w in range(1, width + 1)}
         self.producers: dict[str, Gid] = {}
         self.gates: list[Gate] = []
         self.deps: list[tuple[Gid, Gid, str]] = []
@@ -216,15 +203,13 @@ class _Lowerer:
     def gate(self, r: ast.GateRule) -> Gid:
         wires = tuple(r.wires)
         anchor = min(wires)
-        gid: Gid = (anchor, self.chain_len[anchor])
+        gid: Gid = (anchor, len(self.wiring[anchor]))
         direct: set[Gid] = set()
         for w in wires:
-            self.links[self.last[w]] = ("entry", gid, w)
-            self.last[w] = ("exit", gid, w)
-            if self.last_gate[w] is not None:
-                direct.add(self.last_gate[w])
-            self.last_gate[w] = gid
-            self.chain_len[w] += 1
+            chain = self.wiring[w]
+            if chain:
+                direct.add(chain[-1])
+            chain.append(gid)
         for var in sorted(set().union(*(ast.expr_names(g) for g in r.guards)) if r.guards else set()):
             producer = self.producers.get(var)
             if producer is None:
@@ -243,13 +228,11 @@ def _lower(program: ast.Program) -> tuple[GeneralizedCircuit, DecompTree | None]
     width = ast.program_width(program)
     low = _Lowerer(width)
     tree = low.rule(program.body)
-    for w in range(1, width + 1):
-        low.links[low.last[w]] = ("out", w)
     gates = tuple(sorted(low.gates, key=lambda g: g.gid))
     circuit = GeneralizedCircuit(
         width=width,
         gates=gates,
-        links=low.links,
+        wiring={w: tuple(chain) for w, chain in low.wiring.items()},
         classical_deps=tuple(sorted(low.deps)),
         prereq={gid: frozenset(s) for gid, s in sorted(low.prereq.items())},
     )

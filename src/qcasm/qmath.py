@@ -19,7 +19,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -212,10 +212,12 @@ def make_family(name: str, arity: int, outcomes: Iterable[tuple[int, object]]) -
 
 def unitary_family(name: str, matrix) -> MeasurementFamily:
     """Wrap a unitary matrix as the degenerate one-outcome family (label 0)."""
-    op = _as_operator(matrix, name)
-    k = int(op.shape[0]).bit_length() - 1
-    if 2**k != op.shape[0]:
-        raise InvalidFamilyError(f"{name}: operator dimension {op.shape[0]} is not a power of two")
+    op = np.asarray(matrix, dtype=_COMPLEX)  # MeasurementFamily makes the one copy
+    k = 1  # MeasurementFamily reports a non-square or non-finite matrix first
+    if op.ndim == 2 and op.shape[0] == op.shape[1] and np.isfinite(op).all():
+        k = op.shape[0].bit_length() - 1
+        if 2**k != op.shape[0]:
+            raise InvalidFamilyError(f"{name}: operator dimension {op.shape[0]} is not a power of two")
     return make_family(name, k, [(0, op)])
 
 
@@ -432,14 +434,12 @@ _SWAP = np.array(
 
 
 def controlled(u) -> np.ndarray:
-    """Controlled version of a unitary: block diag(I, U), first qubit controls."""
-    op = _as_operator(u, "controlled")
-    if not is_unitary_matrix(op):
-        raise InvalidFamilyError("controlled: matrix is not unitary within tolerance")
-    d = op.shape[0]
-    out = np.zeros((2 * d, 2 * d), dtype=_COMPLEX)
-    out[:d, :d] = np.eye(d)
-    out[d:, d:] = op
+    """Controlled version of a unitary: block diag(I, U), first qubit controls.
+
+    ``u`` is the operator of a family already checked to be complete."""
+    d = len(u)
+    out = np.eye(2 * d, dtype=_COMPLEX)
+    out[d:, d:] = u
     return out
 
 
@@ -488,16 +488,30 @@ _PM_EVEN = np.diag([1.0, 0.0, 0.0, 1.0]).astype(_COMPLEX)
 _PM_ODD = np.diag([0.0, 1.0, 1.0, 0.0]).astype(_COMPLEX)
 _PM = MeasurementFamily("PM", 2, (Outcome(0, _PM_EVEN), Outcome(1, _PM_ODD)))
 
-# name -> number of integer parameters expected by std_gate
-STD_GATE_PARAMS: dict[str, int] = {
-    "I": 0, "H": 0, "X": 0, "Y": 0, "Z": 0, "SWAP": 0, "CNOT": 0,
-    "SM": 0, "PM": 0, "R": 1, "QFT": 1, "QFTdg": 1, "mark": 2, "reflect0": 1,
-}
-
 
 def identity_family(arity: int) -> MeasurementFamily:
     """Identity gate on ``arity`` wires (the implicit else branch of guards)."""
     return unitary_family("I" if arity == 1 else f"I_{arity}", np.eye(2**arity, dtype=_COMPLEX))
+
+
+# The gate library: name -> (number of integer parameters, builder that
+# takes those parameters and returns the family).
+STD_GATES: dict[str, tuple[int, Callable[..., MeasurementFamily]]] = {
+    "I": (0, lambda: identity_family(1)),
+    "H": (0, lambda: unitary_family("H", _H)),
+    "X": (0, lambda: unitary_family("X", _X)),
+    "Y": (0, lambda: unitary_family("Y", _Y)),
+    "Z": (0, lambda: unitary_family("Z", _Z)),
+    "SWAP": (0, lambda: unitary_family("SWAP", _SWAP)),
+    "CNOT": (0, lambda: unitary_family("CNOT", controlled(_X))),
+    "SM": (0, lambda: _SM),
+    "PM": (0, lambda: _PM),
+    "R": (1, lambda k: unitary_family(f"R_{k}", _rotation(k))),
+    "QFT": (1, lambda n: unitary_family(f"QFT_{n}", fourier_matrix(n))),
+    "QFTdg": (1, lambda n: unitary_family(f"QFTdg_{n}", fourier_matrix(n).conj().T)),
+    "mark": (2, lambda n, m: unitary_family(f"mark_({n},{m})", _mark_matrix(n, m))),
+    "reflect0": (1, lambda n: unitary_family(f"reflect0_{n}", _reflect0_matrix(n))),
+}
 
 
 def std_gate(name: str, params: Sequence[int] = ()) -> MeasurementFamily:
@@ -508,40 +522,12 @@ def std_gate(name: str, params: Sequence[int] = ()) -> MeasurementFamily:
     (2|0..0><0..0| - I).  Measurements: SM (basis read-out) and PM (parity).
     """
     params = tuple(int(p) for p in params)
-    if name not in STD_GATE_PARAMS:
+    if name not in STD_GATES:
         raise UnknownNameError(f"unknown gate or measurement {name!r}")
-    want = STD_GATE_PARAMS[name]
+    want, build = STD_GATES[name]
     if len(params) != want:
         raise InvalidFamilyError(f"{name} takes {want} parameter(s), got {len(params)}")
-    if name == "I":
-        return identity_family(1)
-    if name == "H":
-        return unitary_family("H", _H)
-    if name == "X":
-        return unitary_family("X", _X)
-    if name == "Y":
-        return unitary_family("Y", _Y)
-    if name == "Z":
-        return unitary_family("Z", _Z)
-    if name == "SWAP":
-        return unitary_family("SWAP", _SWAP)
-    if name == "CNOT":
-        return unitary_family("CNOT", controlled(_X))
-    if name == "SM":
-        return _SM
-    if name == "PM":
-        return _PM
-    if name == "R":
-        return unitary_family(f"R_{params[0]}", _rotation(params[0]))
-    if name == "QFT":
-        return unitary_family(f"QFT_{params[0]}", fourier_matrix(params[0]))
-    if name == "QFTdg":
-        return unitary_family(f"QFTdg_{params[0]}", fourier_matrix(params[0]).conj().T)
-    if name == "mark":
-        return unitary_family(f"mark_({params[0]},{params[1]})", _mark_matrix(params[0], params[1]))
-    if name == "reflect0":
-        return unitary_family(f"reflect0_{params[0]}", _reflect0_matrix(params[0]))
-    raise UnknownNameError(f"unknown gate or measurement {name!r}")  # pragma: no cover
+    return build(*params)
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +568,7 @@ class Registry:
             if params:
                 raise RegistryError(f"registered family {name!r} takes no parameters")
             return self.families[name]
-        if name in STD_GATE_PARAMS:
+        if name in STD_GATES:
             return std_gate(name, params)
         if name.startswith("c") and len(name) > 1:
             base = self.family(name[1:], params)
@@ -593,9 +579,9 @@ class Registry:
 
     def knows_gate(self, name: str) -> bool:
         base = name
-        while base.startswith("c") and base not in self.families and base not in STD_GATE_PARAMS:
+        while base.startswith("c") and base not in self.families and base not in STD_GATES:
             base = base[1:]
-        return bool(base) and (base in self.families or base in STD_GATE_PARAMS)
+        return bool(base) and (base in self.families or base in STD_GATES)
 
 
 DEFAULT_REGISTRY = Registry()

@@ -273,6 +273,16 @@ def test_elaboration_checks_each_family_once(monkeypatch):
     assert sorted(names) == ["H", "mark_(6,45)", "reflect0_6"]
 
 
+def test_controlled_gates_are_not_tested_for_unitarity(monkeypatch):
+    # Each cR_k is checked once, by the completeness check of its family.
+    tested = []
+    is_unitary = Q.is_unitary_matrix
+    monkeypatch.setattr(Q, "is_unitary_matrix",
+                        lambda op, *a: tested.append(op.shape) or is_unitary(op, *a))
+    A.elaborate(corpus_program("qft"), {"n": 8})
+    assert tested == []
+
+
 def test_gates_share_one_family_per_name_and_params():
     r = ground_body("p := SM(1); q := SM(2);\n"
                     "for i = 1 to 3: { (-1)^p X(3); if q = 1 then Z(3); "
@@ -440,9 +450,30 @@ def test_program_width_counts_input_wires():
 
 def test_attributes_reject_surface_rules():
     loop = parse("for i = 1 to 2: H(i)").body
-    with pytest.raises(ElaborationError):
-        A.wire_set(loop)
-    assert not A.is_ground(loop)
+    gate = ground_body("p := SM(1)")
+    for r in (loop, A.Sequential((gate, loop)), A.Parallel((gate, loop))):
+        for walker in (A.wire_set, A.output_vars, A.subrules):
+            with pytest.raises(ElaborationError, match="needs a ground rule, got ForLoop"):
+                walker(r)
+        assert not A.is_ground(r)
+        assert not A.is_classical(r)
+    assert A._occurring_names(loop) == frozenset()
+    assert list(A._gate_rules(loop, "body")) == []
+    # A composition keeps what its ground components contribute.
+    for r, path in ((A.Sequential((gate, loop)), "body.parts[0]"),
+                    (A.Parallel((gate, loop)), "body.bodies[0]")):
+        assert A._occurring_names(r) == frozenset({"p"})
+        assert list(A._gate_rules(r, "body")) == [(path, gate)]
+    # wire_set and output_vars do not descend into classical conditionals.
+    cond = A.ClassicalCond((expr("p = 1"),), (loop, A.Skip()))
+    assert A.wire_set(cond) == frozenset()
+    assert A.output_vars(cond) == frozenset()
+    with pytest.raises(ElaborationError, match="needs a ground rule, got ForLoop"):
+        A.subrules(cond)
+    assert not A.is_ground(cond)
+    assert not A.is_classical(cond)
+    assert A._occurring_names(cond) == frozenset({"p"})
+    assert list(A._gate_rules(cond, "body")) == []
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import pytest
 
 from qcasm.cli import main
 
-from conftest import PROGRAMS
+from conftest import FIXTURES, PROGRAMS
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -64,7 +64,20 @@ CASES = {
     "shots_grover6": ("run", GROVER, "--param", "n=6", "--param", "N=64",
                       "--param", "m=45", "--shots", "1000", "--seed", "21"),
     "enumerate_qft3": ("enumerate", QFT, "--param", "n=3"),
+    # Lowering and the decomposition tree: gate ids, per-wire gate order
+    # and classical dependencies in every output format.
+    "lower_teleport_dot": ("lower", TELEPORT, "--registry", TELE_REG, "--format", "dot"),
+    "lower_cnot_mb_text": ("lower", CNOT, "--param", "c=1", "--param", "t=1",
+                           "--format", "text"),
+    "lower_grover3_json": ("lower", GROVER, "--param", "n=3", "--param", "N=8",
+                           "--param", "m=5", "--format", "json"),
+    "canon_cnot_mb_liberal_json": ("canon", CNOT_LIBERAL, "--param", "c=1",
+                                   "--param", "t=0", "--format", "json"),
 }
+
+# ``qcasm check`` on each ill-formed fixture: the exit code and the full
+# diagnostics (messages, their order, line:col and [at body...] paths).
+CHECKS = sorted(FIXTURES.glob("*.qcasm"))
 
 
 def render(argv) -> str:
@@ -75,10 +88,23 @@ def render(argv) -> str:
     return out.getvalue()
 
 
+def render_check(path: pathlib.Path) -> str:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["check", str(path)])
+    return f"exit {code}\n{err.getvalue()}"
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name):
     expected = (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
     assert render(CASES[name]) == expected
+
+
+@pytest.mark.parametrize("path", CHECKS, ids=lambda p: p.stem)
+def test_check_diagnostics_match_golden(path):
+    expected = (GOLDEN / f"check_{path.stem}.out").read_text(encoding="utf-8")
+    assert render_check(path) == expected
 
 
 # qft n=12 on the odd basis ket |j>: every one of the 4096 output
@@ -104,3 +130,5 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in sorted(CASES.items()):
         (GOLDEN / f"{name}.out").write_text(render(argv), encoding="utf-8")
+    for path in CHECKS:
+        (GOLDEN / f"check_{path.stem}.out").write_text(render_check(path), encoding="utf-8")

@@ -466,6 +466,36 @@ def test_load_registry_checks_each_family_once(monkeypatch):
     assert checked == ["lossy"]
 
 
+def test_each_family_operator_is_copied_once(monkeypatch):
+    # _as_operator makes the one read-only copy a family keeps.
+    copied = []
+    coerce = Q._as_operator
+    monkeypatch.setattr(Q, "_as_operator",
+                        lambda m, context: copied.append(context) or coerce(m, context))
+    Q.unitary_family("U", np.eye(4))
+    assert copied == ["U"]
+    copied.clear()
+    Q.Registry().family("cX")
+    assert copied == ["X", "cX"]
+
+
+@pytest.mark.parametrize("matrix,message", [
+    (np.ones((2, 3)), "U: operator must be square, got shape (2, 3)"),
+    (np.ones(4), "U: operator must be square, got shape (4,)"),
+    (np.full((3, 2), np.nan), "U: operator must be square, got shape (3, 2)"),
+    (np.full((3, 3), np.nan), "U: operator has non-finite entries"),
+    (np.full((2, 2), np.inf), "U: operator has non-finite entries"),
+    (np.eye(3), "U: operator dimension 3 is not a power of two"),
+    (np.zeros((0, 0)), "U: operator dimension 0 is not a power of two"),
+    (np.eye(1), "arity must be >= 1, got 0"),
+    (np.full((1, 1), np.nan), "U: operator has non-finite entries"),
+])
+def test_unitary_family_reports_the_first_defect(matrix, message):
+    with pytest.raises(InvalidFamilyError) as exc:
+        Q.unitary_family("U", matrix)
+    assert str(exc.value) == message
+
+
 def test_knows_gate():
     reg = Q.Registry()
     assert reg.knows_gate("H") and reg.knows_gate("PM") and reg.knows_gate("cX")
