@@ -750,21 +750,21 @@ class _Elaborator:
                 bodies = []
                 for v in self.domain_values(r.binder.domain, env):
                     bodies.append(self.rule(r.bodies[0], {**env, r.binder.var: v}))
-                return self.compose(Parallel, "bodies", bodies, r.pos)
-            return self.compose(Parallel, "bodies", [self.rule(b, env) for b in r.bodies], r.pos)
+                return self.compose(Parallel, bodies, r.pos)
+            return self.compose(Parallel, [self.rule(b, env) for b in r.bodies], r.pos)
         if isinstance(r, Sequential):
-            return self.compose(Sequential, "parts", [self.rule(p, env) for p in r.parts], r.pos)
+            return self.compose(Sequential, [self.rule(p, env) for p in r.parts], r.pos)
         if isinstance(r, ForLoop):
             lo = self.eval(r.start, env)
             hi = self.eval(r.stop, env)
             parts = [self.rule(r.body, {**env, r.var: i}) for i in range(lo, hi + 1)]
-            return self.compose(Sequential, "parts", parts, r.pos)
+            return self.compose(Sequential, parts, r.pos)
         if isinstance(r, Skip):
             return r
         raise ElaborationError(f"cannot elaborate {type(r).__name__}")
 
     @staticmethod
-    def compose(cls, field_name, parts, pos):
+    def compose(cls, parts, pos):
         # Skip is the unit of both compositions: drop it, collapse singletons.
         kept = [p for p in parts if not isinstance(p, Skip)]
         if not kept:

@@ -76,7 +76,7 @@ class GeneralizedCircuit:
     ``classical_deps`` holds (producer, consumer, variable) triples, one
     per guard variable read.  ``prereq`` gives each gate's direct
     prerequisites (previous gate on each wire, plus producers of guard
-    variables).
+    variables), in lowering order, so every gate follows its own.
     """
     width: int
     gates: tuple[Gate, ...]
@@ -100,19 +100,8 @@ class GeneralizedCircuit:
         """Transitive closure of the prerequisite relation."""
         if self._closure is None:
             closed: dict[Gid, frozenset[Gid]] = {}
-
-            def visit(gid: Gid) -> frozenset[Gid]:
-                got = closed.get(gid)
-                if got is None:
-                    acc: set[Gid] = set()
-                    for p in self.prereq[gid]:
-                        acc.add(p)
-                        acc |= visit(p)
-                    got = closed[gid] = frozenset(acc)
-                return got
-
-            for gid in self.prereq:
-                visit(gid)
+            for gid, direct in self.prereq.items():
+                closed[gid] = direct.union(*(closed[p] for p in direct))
             self._closure = closed
         return self._closure
 
@@ -234,7 +223,7 @@ def _lower(program: ast.Program) -> tuple[GeneralizedCircuit, DecompTree | None]
         gates=gates,
         wiring={w: tuple(chain) for w, chain in low.wiring.items()},
         classical_deps=tuple(sorted(low.deps)),
-        prereq={gid: frozenset(s) for gid, s in sorted(low.prereq.items())},
+        prereq={gid: frozenset(s) for gid, s in low.prereq.items()},
     )
     return circuit, tree
 
@@ -390,6 +379,9 @@ def check_schedule(circuit: GeneralizedCircuit, schedule: Schedule) -> None:
     if missing or extra:
         raise ScheduleError(f"schedule does not partition the gates "
                             f"(missing {sorted(missing)}, extra {sorted(extra)})")
+    # Direct prerequisites that fire earlier imply both closure checks below.
+    if all(seen[p] < i for gid, i in seen.items() for p in circuit.prereq[gid]):
+        return
     closed = circuit.closure()
     for i, bout in enumerate(schedule):
         for a, b in itertools.combinations(bout, 2):
@@ -412,21 +404,27 @@ def all_schedules(circuit: GeneralizedCircuit,
     subset of the currently minimal gates.  Raises CapExceededError when
     more than max_count schedules exist.
     """
-    closed = circuit.closure()
     results: list[Schedule] = []
 
-    def extend(remaining: frozenset[Gid], prefix: tuple):
-        if not remaining:
+    def extensions(remaining: frozenset[Gid], prefix: tuple):
+        # Fired gates include all their prerequisites, so direct ones suffice.
+        ready = sorted(g for g in remaining if circuit.prereq[g].isdisjoint(remaining))
+        for r in range(1, len(ready) + 1):
+            for bout in itertools.combinations(ready, r):
+                yield remaining - set(bout), prefix + (tuple(bout),)
+
+    # Depth first on a stack of lazy iterators, in the order of a recursion.
+    stack = [iter([(frozenset(circuit.gids), ())])]
+    while stack:
+        for remaining, prefix in stack[-1]:
+            if remaining:
+                stack.append(extensions(remaining, prefix))
+                break
             results.append(prefix)
             if max_count is not None and len(results) > max_count:
                 raise CapExceededError(f"more than {max_count} schedules")
-            return
-        ready = sorted(g for g in remaining if not (closed[g] & remaining))
-        for r in range(1, len(ready) + 1):
-            for bout in itertools.combinations(ready, r):
-                extend(remaining - set(bout), prefix + (tuple(bout),))
-
-    extend(frozenset(circuit.gids), ())
+        else:
+            stack.pop()
     return results
 
 

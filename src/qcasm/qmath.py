@@ -214,9 +214,12 @@ def unitary_family(name: str, matrix) -> MeasurementFamily:
     """Wrap a unitary matrix as the degenerate one-outcome family (label 0)."""
     op = np.asarray(matrix, dtype=_COMPLEX)  # MeasurementFamily makes the one copy
     k = 1  # MeasurementFamily reports a non-square or non-finite matrix first
-    if op.ndim == 2 and op.shape[0] == op.shape[1] and np.isfinite(op).all():
+    if op.ndim == 2 and op.shape[0] == op.shape[1]:
         k = op.shape[0].bit_length() - 1
-        if 2**k != op.shape[0]:
+        # Only a bad dimension needs this finiteness test, to order the errors.
+        if (k < 1 or 2**k != op.shape[0]) and not np.isfinite(op).all():
+            k = 1
+        elif 2**k != op.shape[0]:
             raise InvalidFamilyError(f"{name}: operator dimension {op.shape[0]} is not a power of two")
     return make_family(name, k, [(0, op)])
 

@@ -5,10 +5,10 @@ execution builds the declared input state afresh.  Execution walks the
 schedule bout by bout; inside a bout gates fire in ascending id order.
 Firing a gate (``fire``) evaluates its guards against the classical
 store, selects a measurement family and applies each of its outcome
-operators once; the caller picks an outcome (by sampling in ``run``, or
-branching over every outcome in ``enumerate_branches``), normalizes it
-into the post-measurement state, and records a trace entry.  After the
-last bout the classical rules of the program run: sequential parts
+operators once.  One depth-first walk of the outcome tree then follows
+one sampled outcome (``run``), every outcome above the floor
+(``enumerate_branches``) or the only one (``program_unitary``).  After
+the last gate the classical rules of the program run: sequential parts
 apply in order, parallel parts all read the same snapshot and their
 writes must agree.
 
@@ -193,20 +193,13 @@ def _guard_value(e: ast.Expr, store) -> bool:
     return v
 
 
-def select_family(gate: Gate, store) -> MeasurementFamily:
-    """First family whose guard holds; the last family is the default."""
-    for g, fam in zip(gate.guards, gate.families):
-        if _guard_value(g, store):
-            return fam
-    return gate.families[-1]
-
-
 def fire(state: QuantumState, gate: Gate,
          store) -> tuple[MeasurementFamily, tuple[OutcomeVector, ...]]:
-    """Fire ``gate`` on ``state``: select its family and compute A_i |s>
-    once per outcome.  Only the outcomes actually taken are normalized
-    into a state (``qmath.post_state``)."""
-    fam = select_family(gate, store)
+    """Fire ``gate`` on ``state``: select its family (the first whose guard
+    holds, else the last) and compute A_i |s> once per outcome.  Only the
+    outcomes taken are normalized into a state (``qmath.post_state``)."""
+    fam = next((f for g, f in zip(gate.guards, gate.families) if _guard_value(g, store)),
+               gate.families[-1])
     return fam, outcome_vectors(state, fam, gate.wires)
 
 
@@ -280,34 +273,56 @@ def _run_classical(program: ast.Program, store: dict) -> dict:
 # run / enumerate / sample
 # ---------------------------------------------------------------------------
 
-def _execute(prep: PreparedProgram, rng: random.Random) -> RunResult:
-    state = prep.input_state()
-    store: dict[str, int] = {}
-    outcomes: list[tuple[Gid, int]] = []
-    trace: list[QueryTraceEntry] = []
-    probability = 1.0
-    for step, gate in prep.firing:
+def _walk(prep: PreparedProgram, state: QuantumState, follow):
+    """Walk the outcome tree from ``state`` depth first on an explicit
+    stack.  At each gate ``follow(gate, family, outcomes, probability)``
+    returns, in label order, each outcome to follow or the path mass (a
+    float) of one cut off.  Yields cut masses and leaves (state, store,
+    probability, path) in visiting order; a path is the linked tuple
+    (path, step, gate, family name, label), ending in None."""
+    firing = prep.firing
+    stack: list = [(0, state, {}, 1.0, None)]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, float):
+            yield node
+            continue
+        k, state, store, prob, path = node
+        if k == len(firing):
+            yield state, store, prob, path
+            continue
+        step, gate = firing[k]
         fam, outs = fire(state, gate, store)
-        taken = _pick(outs, rng.random())
-        state = post_state(state, fam, taken)
-        label, p = taken.label, taken.probability
-        del outs, taken  # drop the outcome vectors before the next gate fires
-        probability *= p
+        for out in reversed(follow(gate, fam, outs, prob)):
+            stack.append(out if isinstance(out, float) else (
+                k + 1, post_state(state, fam, out),
+                store if gate.out is None else {**store, gate.out: out.label},
+                prob * out.probability, (path, step, gate, fam.name, out.label)))
+        outs = out = None  # drop the outcome vectors before the next gate fires
+
+
+def _branch(prep: PreparedProgram, leaf) -> Branch:
+    """A leaf of ``_walk`` with its outcomes, trace and classical pass."""
+    state, store, prob, path = leaf
+    outcomes, trace = [], []
+    while path is not None:
+        path, step, gate, name, label = path
         outcomes.append((gate.gid, label))
-        if gate.out is not None:
-            store[gate.out] = label
-        trace.append(QueryTraceEntry(step, fam.name, gate.wires, label))
-    store = _run_classical(prep.program, store)
-    return RunResult(state, store, tuple(sorted(outcomes)), tuple(trace),
-                     min(probability, 1.0), prep.schedule)
+        trace.append(QueryTraceEntry(step, name, gate.wires, label))
+    return Branch(tuple(sorted(outcomes)), _run_classical(prep.program, store),
+                  prob, state, tuple(reversed(trace)))
 
 
 def run(program: ast.Program | PreparedProgram, seed: int = 0,
         bindings: dict | None = None, registry: Registry | None = None,
         schedule: Schedule | None = None) -> RunResult:
     """One seeded sampling run."""
-    return _execute(_prepared(program, bindings, registry, schedule),
-                    random.Random(seed))
+    prep = _prepared(program, bindings, registry, schedule)
+    draw = random.Random(seed).random
+    b = _branch(prep, next(_walk(prep, prep.input_state(),
+                                 lambda gate, fam, outs, prob: [_pick(outs, draw())])))
+    return RunResult(b.state, b.store, b.outcomes, b.trace, min(b.probability, 1.0),
+                     prep.schedule)
 
 
 def enumerate_branches(program: ast.Program | PreparedProgram,
@@ -328,34 +343,22 @@ def enumerate_branches(program: ast.Program | PreparedProgram,
 def _enumerate(prep: PreparedProgram, min_prob: float = 0.0,
                max_branches: int = DEFAULT_MAX_BRANCHES) -> Enumeration:
     floor = max(min_prob, 0.0)
+
+    def follow(gate, fam, outs, prob):
+        return [prob * out.probability
+                if out.probability <= PRUNE_EPS or prob * out.probability < floor
+                else out for out in outs]
+
     branches: list[Branch] = []
-    pruned = 0.0
-    firing = prep.firing
-
-    def walk(k: int, state: QuantumState, store: dict,
-             outcomes: tuple, trace: tuple, prob: float):
-        nonlocal pruned
-        if k == len(firing):
-            final = _run_classical(prep.program, store)
-            branches.append(Branch(tuple(sorted(outcomes)), final, prob, state, trace))
-            if len(branches) > max_branches:
-                raise SimulationError(f"more than {max_branches} branches; "
-                                      f"raise min_prob or max_branches")
-            return
-        step, gate = firing[k]
-        fam, outs = fire(state, gate, store)
-        for out in outs:
-            new_prob = prob * out.probability
-            if out.probability <= PRUNE_EPS or new_prob < floor:
-                pruned += new_prob
-                continue
-            new_store = store if gate.out is None else {**store, gate.out: out.label}
-            walk(k + 1, post_state(state, fam, out), new_store,
-                 outcomes + ((gate.gid, out.label),),
-                 trace + (QueryTraceEntry(step, fam.name, gate.wires, out.label),),
-                 new_prob)
-
-    walk(0, prep.input_state(), {}, (), (), 1.0)
+    pruned = 0.0  # summed in visiting order, which fixes its last bits
+    for leaf in _walk(prep, prep.input_state(), follow):
+        if isinstance(leaf, float):
+            pruned += leaf
+            continue
+        branches.append(_branch(prep, leaf))
+        if len(branches) > max_branches:
+            raise SimulationError(f"more than {max_branches} branches; "
+                                  f"raise min_prob or max_branches")
     branches.sort(key=lambda b: b.outcomes)
     return Enumeration(tuple(branches), pruned)
 
@@ -505,21 +508,16 @@ def program_unitary(program: ast.Program, bindings: dict | None = None,
     if width > UNITARY_MAX_WIDTH:
         raise SimulationError(
             f"composite operator needs width <= {UNITARY_MAX_WIDTH}, got {width}")
-    columns = []
-    for j in range(2**width):
-        state = make_state(format(j, f"0{width}b"), width)
-        store: dict[str, int] = {}
-        for _step, gate in prep.firing:
-            fam, outs = fire(state, gate, store)
-            if len(outs) != 1:
-                raise SimulationError(
-                    f"gate {gate.label} measures ({fam.name} has "
-                    f"{len(outs)} outcomes); the program has no composite operator")
-            state = post_state(state, fam, outs[0])
-            if gate.out is not None:
-                store[gate.out] = outs[0].label
-        columns.append(state.amplitudes)
-    return np.stack(columns, axis=1)
+
+    def only(gate, fam, outs, prob):
+        if len(outs) != 1:
+            raise SimulationError(
+                f"gate {gate.label} measures ({fam.name} has "
+                f"{len(outs)} outcomes); the program has no composite operator")
+        return outs
+
+    return np.stack([next(_walk(prep, make_state(format(j, f"0{width}b"), width), only))[0]
+                     .amplitudes for j in range(2**width)], axis=1)
 
 
 # ---------------------------------------------------------------------------

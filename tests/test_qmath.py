@@ -479,6 +479,16 @@ def test_each_family_operator_is_copied_once(monkeypatch):
     assert copied == ["X", "cX"]
 
 
+def test_valid_operator_is_tested_for_finiteness_once(monkeypatch):
+    # MeasurementFamily tests each operator it keeps; unitary_family's own
+    # test only orders the errors of a matrix whose dimension is bad.
+    tested = []
+    isfinite = np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda a: tested.append(a.shape) or isfinite(a))
+    Q.unitary_family("U", np.eye(4))
+    assert tested == [(4, 4)]
+
+
 @pytest.mark.parametrize("matrix,message", [
     (np.ones((2, 3)), "U: operator must be square, got shape (2, 3)"),
     (np.ones(4), "U: operator must be square, got shape (4,)"),
