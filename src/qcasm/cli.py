@@ -284,6 +284,9 @@ def main(argv: list[str] | None = None) -> int:
     except QcasmError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except MemoryError as e:  # numpy's _ArrayMemoryError included
+        print(f"error: out of memory: {e}", file=sys.stderr)
+        return 1
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2

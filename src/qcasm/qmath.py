@@ -9,15 +9,35 @@ Conventions used throughout the package:
   qubits satisfying the completeness condition sum_i A_i^dagger A_i = I.
   Outcome i occurs with probability ||A_i |s>||**2 and collapses the state
   to A_i |s> / ||A_i |s>||.  A unitary gate is the one-outcome special case.
-* Gates act on arbitrary distinct wires.  Application reshapes the
-  amplitude vector and contracts the k-qubit operator against the selected
-  axes; the full 2**w x 2**w matrix is never materialized.
+* Gates act on arbitrary distinct wires; the full 2**w x 2**w matrix is
+  never materialized.  Each operator of a family is given a structure
+  once, when the family is built, from its exact zero pattern
+  (``structure``), and ``apply_operator`` applies it by that structure
+  on the (2,)*w view of the amplitudes, with no transpose:
+  - a *diagonal* (R_k, cR_k, Z, reflect0, I, the SM and PM projectors)
+    is one pass that copies the state, or scales it by the diagonal's
+    most common entry, then an in-place multiply of the slice of each
+    entry that differs (one quarter of the state for cR_k);
+  - a *monomial*, one nonzero per row and per column (X, CNOT, SWAP,
+    mark), copies each row that it moves as one strided slice, with a
+    multiply only where the phase is not 1, after one copy of the rows
+    it keeps;
+  - anything else (H, QFT_n, most user families) is *dense*: the gate's
+    axes are transposed to the front and the operator is contracted
+    against them by a matrix product.
+* A taken outcome A_i |s> is divided by its norm, except for a
+  single-outcome family whose squared norm is already within
+  ``UNIT_NORM_SLACK`` of 1: a unitary leaves the state normalized to
+  rounding, and an operator that is unitary only within ``ATOL`` still
+  has its outcome divided, so the norm cannot drift over many gates.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
@@ -36,6 +56,7 @@ from .errors import (
 ATOL = 1e-9              # completeness / unitarity / normalization tolerance
 PRUNE_EPS = 1e-12        # below this, an outcome is an impossible branch
 INPUT_STATE_ATOL = 1e-6  # accepted norm slack for user amplitude lists
+UNIT_NORM_SLACK = 1e-13  # a unitary outcome this close to norm 1 is not divided
 MAX_WIDTH = 24           # hard cap on circuit width (2**24 amplitudes)
 
 _COMPLEX = np.complex128
@@ -100,12 +121,56 @@ class QuantumState:
         return state
 
 
+class Structure(NamedTuple):
+    """An operator with the structure ``apply_operator`` exploits.
+
+    ``kind`` is "diagonal", "monomial" (one nonzero per row and per
+    column) or "dense", and ``matrix`` is the operator itself.  For the
+    first two, row r of the output is factor * row c of the input, and
+    ``data`` is (base, moves): a move (bits of r, bits of c, factor or
+    None for 1) for each row r except those with c = r and factor
+    ``base``, which is None when no row is excepted.  A diagonal's base
+    is its most common entry, a monomial's is 1.  Bits are in the order
+    of the gate's wire arguments.  For "dense", ``data`` is None."""
+
+    kind: str
+    matrix: np.ndarray
+    data: object
+
+
+def structure(op: np.ndarray) -> Structure:
+    """Classify a square 2**k operator by its exact zero pattern.  Exact
+    zeros make the structured kernels compute the same products as the
+    dense one, so only the order of the float operations can differ."""
+    dim = len(op)
+    nz = op != 0
+    nonzero = np.count_nonzero(nz)
+    if nonzero == np.count_nonzero(nz.diagonal()):
+        kind, factors = "diagonal", op.diagonal().tolist()
+        base = Counter(factors).most_common(1)[0][0]
+        moved = [(row, row, f) for row, f in enumerate(factors) if f != base]
+    elif nonzero == dim and nz.any(axis=0).all() and nz.any(axis=1).all():
+        # dim nonzeros that meet every row and every column: one in each
+        kind, base, cols = "monomial", 1, nz.argmax(axis=1)
+        factors = op[np.arange(dim), cols].tolist()
+        moved = [(row, col, f) for row, (col, f) in enumerate(zip(cols.tolist(), factors))
+                 if col != row or f != 1]
+    else:
+        return Structure("dense", op, None)
+    k = dim.bit_length() - 1
+    moves = tuple((index_bits(row, k), index_bits(col, k), None if f == 1 else f)
+                  for row, col, f in moved)
+    return Structure(kind, op, (None if len(moves) == dim else base, moves))
+
+
 @dataclass(frozen=True)
 class Outcome:
-    """One labelled operator of a measurement family."""
+    """One labelled operator of a measurement family.  The family fills
+    in ``structure`` when it takes the operator."""
 
     label: int
     operator: np.ndarray
+    structure: Structure | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -147,7 +212,7 @@ class MeasurementFamily:
                 raise InvalidFamilyError(
                     f"{self.name}: dimension mismatch, arity {self.arity} needs {dim}x{dim} operators"
                 )
-            fixed.append(Outcome(label, op))
+            fixed.append(Outcome(label, op, structure(op)))
         labels = [oc.label for oc in fixed]
         if len(set(labels)) != len(labels):
             raise InvalidFamilyError(f"{self.name}: outcome labels must be distinct, got {labels}")
@@ -162,11 +227,14 @@ class MeasurementFamily:
         """True for the degenerate single-outcome (plain gate) case."""
         return len(self.outcomes) == 1
 
-    def operator(self, label: int) -> np.ndarray:
+    def outcome(self, label: int) -> Outcome:
         for oc in self.outcomes:
             if oc.label == label:
-                return oc.operator
+                return oc
         raise InvalidFamilyError(f"{self.name}: unknown outcome label {label}")
+
+    def operator(self, label: int) -> np.ndarray:
+        return self.outcome(label).operator
 
     def __eq__(self, other):
         if not isinstance(other, MeasurementFamily):
@@ -335,14 +403,58 @@ def _block_to_amps(block: np.ndarray, inv: np.ndarray, width: int) -> np.ndarray
     return block.reshape((2,) * width).transpose(inv).reshape(-1)
 
 
-def apply_operator(amps: np.ndarray, op: np.ndarray, wires: Sequence[int], width: int) -> np.ndarray:
-    """Apply a k-qubit operator to the named wires of a raw amplitude vector."""
+@functools.lru_cache(maxsize=1024)
+def _layout(wires: tuple[int, ...], width: int):
+    """The (2,)*width view with each run of non-gate wires merged into one
+    axis, so the j-th gate wire in ascending order is axis 2j+1.  Returns
+    that shape and the order of the gate wires within it (indices into
+    ``wires``)."""
+    order = tuple(sorted(range(len(wires)), key=wires.__getitem__))
+    shape, start = [], 0
+    for j in order:
+        shape += [2 ** (wires[j] - 1 - start), 2]
+        start = wires[j]
+    shape.append(2 ** (width - start))
+    return tuple(shape), order
+
+
+_ALL = slice(None)
+
+
+def apply_operator(amps: np.ndarray, op: np.ndarray | Structure, wires: Sequence[int],
+                   width: int) -> np.ndarray:
+    """Apply a k-qubit operator to the named wires of a raw amplitude
+    vector, returning a new vector.  A plain matrix is applied dense; a
+    ``Structure`` by its kind (see the module docstring)."""
     ws = check_wires(wires, width)
     k = len(ws)
-    if op.shape != (2**k, 2**k):
-        raise InvalidFamilyError(f"operator of shape {op.shape} does not act on {k} wires")
-    block, inv = _wire_block(amps, ws, width)
-    return _block_to_amps(op @ block, inv, width)
+    kind, matrix, data = op if isinstance(op, Structure) else ("dense", op, None)
+    if matrix.shape != (2**k, 2**k):
+        raise InvalidFamilyError(f"operator of shape {matrix.shape} does not act on {k} wires")
+    if kind == "dense":
+        block, inv = _wire_block(amps, ws, width)
+        return _block_to_amps(matrix @ block, inv, width)
+    base, moves = data
+    view, order = _layout(ws, width)
+
+    def at(bits):
+        return (*[i for j in order for i in (_ALL, bits[j])], _ALL)
+
+    # One pass writes every row that is not moved, then each move writes
+    # its slice: 1/2**k of the state.
+    if base is None:
+        out = np.empty(amps.shape, _COMPLEX)
+    elif base == 1:
+        out = amps.astype(_COMPLEX)
+    else:
+        out = amps * base
+    src, dst = amps.reshape(view), out.reshape(view)
+    for row, col, factor in moves:
+        if factor is None:
+            dst[at(row)] = src[at(col)]
+        else:
+            np.multiply(src[at(col)], factor, out=dst[at(row)])
+    return out
 
 
 def is_unitary_matrix(op: np.ndarray, atol: float = ATOL) -> bool:
@@ -381,7 +493,7 @@ def outcome_vectors(s: QuantumState, f: MeasurementFamily, wires: Sequence[int],
         raise InvalidFamilyError(f"{f.name}: family of arity {f.arity} applied to {len(ws)} wires")
     out = []
     for label in f.labels if labels is None else labels:
-        vec = apply_operator(s.amplitudes, f.operator(label), ws, s.width)
+        vec = apply_operator(s.amplitudes, f.outcome(label).structure, ws, s.width)
         norm2 = float(np.real(np.vdot(vec, vec)))
         if not norm2 <= 1.0 + ATOL:  # also true for nan
             raise InvalidFamilyError(f"{f.name}: outcome probability {norm2} is not at most 1")
@@ -395,11 +507,15 @@ def post_state(s: QuantumState, f: MeasurementFamily, o: OutcomeVector) -> Quant
     ``outcome_vectors`` has already bounded the squared norm (finite, at
     most 1 + ATOL) and this rejects it below PRUNE_EPS, so the quotient
     is finite and normalized by construction and is not validated again.
+    The one outcome of a single-outcome family is not divided when its
+    squared norm is within UNIT_NORM_SLACK of 1.
     """
     if o.norm2 < PRUNE_EPS:
         raise ImpossibleBranchError(
             f"{f.name}: outcome {o.label} has probability {o.norm2:.3e} below {PRUNE_EPS}"
         )
+    if f.is_unitary and abs(o.norm2 - 1.0) <= UNIT_NORM_SLACK:
+        return QuantumState._unchecked(s.width, o.vector)
     return QuantumState._unchecked(s.width, o.vector / math.sqrt(o.norm2))
 
 

@@ -365,11 +365,13 @@ def _enumerate(prep: PreparedProgram, min_prob: float = 0.0,
 
 @dataclass(eq=False)
 class _Node:
-    """A sampler-trie node: an outcome prefix and the gate fired after it."""
+    """A sampler-trie node: an outcome prefix and the gate fired after it.
+    The prefix is the linked path of (gid, label) pairs up to the root."""
     parent: weakref.ref | None         # weak: a finished trie has no cycles to collect
+    gid: Gid | None                    # the gate whose outcome ``label`` is
     label: int | None
     store: dict
-    key: tuple = ()                    # the sorted (gid, label) outcomes so far
+    key: tuple | None = None           # at a leaf, the sorted (gid, label) outcomes
     state: QuantumState | None = None  # the pre-gate state, while cached
     fired: tuple | None = None         # (gate, family, (label, probability) per outcome)
     missing: int = 0                   # positive-probability children not yet built
@@ -396,7 +398,7 @@ def sample_distribution(program: ast.Program | PreparedProgram, shots: int,
     prep = _prepared(program, bindings, registry, schedule)
     gates = [gate for _step, gate in prep.firing]
     initial = prep.input_state()
-    root = _Node(None, None, {})
+    root = _Node(None, None, None, {})
     cached = 0
     counts: dict[tuple[tuple[Gid, int], ...], int] = {}
 
@@ -445,8 +447,7 @@ def sample_distribution(program: ast.Program | PreparedProgram, shots: int,
                 state = post_state(state, fam, taken) if outs is not None else \
                     collapse(replay(node), fam, gate.wires, label)
                 store = node.store if gate.out is None else {**node.store, gate.out: label}
-                key = tuple(sorted(node.key + ((gate.gid, label),)))
-                child = node.children[label] = _Node(weakref.ref(node), label, store, key)
+                child = node.children[label] = _Node(weakref.ref(node), gate.gid, label, store)
                 node.missing -= 1
                 if node.missing == 0 and node.state is not None:
                     cached -= node.state.amplitudes.nbytes
@@ -454,6 +455,12 @@ def sample_distribution(program: ast.Program | PreparedProgram, shots: int,
             if forced:
                 node.jump = (1, child)
             node, i = child, i + 1
+        if node.key is None:
+            key, up = [], node
+            while up is not root:
+                key.append((up.gid, up.label))
+                up = up.parent()
+            node.key = tuple(sorted(key))
         counts[node.key] = counts.get(node.key, 0) + 1
     return counts
 

@@ -4,8 +4,10 @@ import io
 import json
 import sys
 
+import numpy as np
 import pytest
 
+from qcasm import qmath
 from qcasm.cli import main
 
 from conftest import FIXTURES, PROGRAMS
@@ -14,6 +16,7 @@ from conftest import FIXTURES, PROGRAMS
 TELEPORT = str(PROGRAMS / "teleport.qcasm")
 CNOT = str(PROGRAMS / "cnot_mb.qcasm")
 QFT = str(PROGRAMS / "qft.qcasm")
+GROVER = str(PROGRAMS / "grover.qcasm")
 PHASE_EST = str(PROGRAMS / "phase_est.qcasm")
 TELE_REG = str(PROGRAMS / "teleport_demo.json")
 PE_REG = str(PROGRAMS / "phase_est_demo.json")
@@ -60,6 +63,30 @@ def test_check_reports_elaboration_failure(capsys):
     code, _, err = run_cli("check", TELEPORT, "--param", "zz=1", capsys=capsys)
     assert code == 1
     assert "zz" in err
+
+
+try:
+    from numpy._core._exceptions import _ArrayMemoryError
+except ImportError:  # numpy < 2
+    from numpy.core._exceptions import _ArrayMemoryError
+
+
+@pytest.mark.parametrize("error,message", [
+    (_ArrayMemoryError((2**15, 2**15), np.dtype(complex)),
+     "Unable to allocate 16.0 GiB for an array with shape (32768, 32768)"),
+    (MemoryError(), ""),
+])
+def test_out_of_memory_is_an_error_not_a_traceback(monkeypatch, capsys, error, message):
+    # Stands in for the 16 GiB mark matrix of grover n=14: the raise
+    # replaces the allocation, so nothing large is ever built.
+    def no_memory(n, m):
+        raise error
+    monkeypatch.setattr(qmath, "_mark_matrix", no_memory)
+    code, out, err = run_cli("check", GROVER, "--param", "n=3", "--param", "N=8",
+                             "--param", "m=5", capsys=capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: out of memory: {message}")
+    assert err.count("\n") == 1
 
 
 def test_missing_program_file(capsys):

@@ -6,11 +6,20 @@ bytes; these cases pin that promise across changes to the simulator.
 Regenerate the files only when an output change is intended:
 
     PYTHONPATH=src python tests/test_golden.py
+
+An intended change to the float kernels may move floats, and nothing
+else.  Before re-recording, check that against the committed files with
+``golden_float_move``, which prints each case's largest float move and
+fails on anything more:
+
+    PYTHONPATH=src python tests/test_golden.py --compare
 """
 import contextlib
 import hashlib
 import io
+import json
 import pathlib
+import sys
 
 import pytest
 
@@ -75,6 +84,72 @@ CASES = {
                                    "--param", "t=0", "--format", "json"),
 }
 
+# The golden float contract: across an intended kernel change, output
+# parsed as JSON keeps every key, list length, label, store, count and
+# string, and numbers move only in the fields below, by at most
+# FLOAT_MOVE absolute (-0 equals 0).  Output that is not JSON (text and
+# DOT listings, check diagnostics) holds no computed floats and stays
+# byte-identical.
+FLOAT_FIELDS = {"probability", "pruned_mass", "total_probability", "amplitudes"}
+FLOAT_MOVE = 1e-12
+
+
+def golden_float_move(expected: str, actual: str) -> float:
+    """The largest float move from ``expected`` to ``actual``; raise
+    AssertionError when they differ in anything but floats, or when a
+    float moves by more than FLOAT_MOVE."""
+    try:
+        old, new = json.loads(expected), json.loads(actual)
+    except ValueError:
+        assert actual == expected, "non-JSON output changed"
+        return 0.0
+    move = _float_move(old, new, False, "$")
+    assert move <= FLOAT_MOVE, f"a float moved by {move:.3g} > {FLOAT_MOVE}"
+    return move
+
+
+def _float_move(old, new, floats: bool, where: str) -> float:
+    number = (int, float)
+    if floats and type(old) in number and type(new) in number:
+        return abs(float(new) - float(old))
+    assert type(old) is type(new), f"{where}: {old!r} became {new!r}"
+    if isinstance(old, dict):
+        assert list(old) == list(new), f"{where}: keys {list(old)} became {list(new)}"
+        return max((_float_move(old[k], new[k], floats or k in FLOAT_FIELDS, f"{where}.{k}")
+                    for k in old), default=0.0)
+    if isinstance(old, list):
+        assert len(old) == len(new), f"{where}: length {len(old)} became {len(new)}"
+        return max((_float_move(a, b, floats, f"{where}[{i}]")
+                    for i, (a, b) in enumerate(zip(old, new))), default=0.0)
+    assert old == new, f"{where}: {old!r} became {new!r}"
+    return 0.0
+
+
+def test_float_contract_accepts_small_float_moves():
+    old = '{"probability": 0.5, "store": {"b": 1}, "amplitudes": [[0, -0.0], [1, 0]]}'
+    new = '{"probability": 0.50000000000000011, "store": {"b": 1}, ' \
+          '"amplitudes": [[-0.0, 0], [0.99999999999999978, 1e-17]]}'
+    assert 0 < golden_float_move(old, new) < FLOAT_MOVE
+    assert golden_float_move("lower text\n", "lower text\n") == 0.0
+
+
+@pytest.mark.parametrize("old,new", [
+    ('{"counts": [{"count": 150}]}', '{"counts": [{"count": 151}]}'),
+    ('{"outcomes": [{"gate": [1, 0], "answer": 0}]}',
+     '{"outcomes": [{"gate": [1, 0], "answer": 1}]}'),
+    ('{"store": {"b": 0}}', '{"store": {"b": 0.0}}'),
+    ('{"store": {"b": 0}}', '{"store": {"c": 0}}'),
+    ('{"branches": [{"probability": 0.5}]}', '{"branches": []}'),
+    ('{"probability": 0.25}', '{"probability": 0.250000001}'),
+    ('{"amplitudes": [[0.5, 0]]}', '{"amplitudes": [[0.5, 1e-9]]}'),
+    ('{"mq": "H"}', '{"mq": "X"}'),
+    ("1 schedules\n", "2 schedules\n"),
+])
+def test_float_contract_rejects_any_other_change(old, new):
+    with pytest.raises(AssertionError):
+        golden_float_move(old, new)
+
+
 # ``qcasm check`` on each ill-formed fixture: the exit code and the full
 # diagnostics (messages, their order, line:col and [at body...] paths).
 CHECKS = sorted(FIXTURES.glob("*.qcasm"))
@@ -111,7 +186,7 @@ def test_check_diagnostics_match_golden(path):
 # amplitudes is a generic complex number.  The output is about 230 KB,
 # so it is pinned by its SHA-256 rather than a committed file.
 QFT12_KET = 2931
-QFT12_SHA256 = "428354a52754daaa29f29af7beb8e44d2b9075e470b4d348a0c9d00ea9270dc0"
+QFT12_SHA256 = "78ccffc906e0193a4515dc568b6f73defaf35c93957570ceeff989f8f3f5da99"
 
 
 def test_large_state_run_matches_digest(tmp_path):
@@ -126,7 +201,11 @@ def test_large_state_run_matches_digest(tmp_path):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == QFT12_SHA256
 
 
-if __name__ == "__main__":
+if __name__ == "__main__" and sys.argv[1:] == ["--compare"]:
+    for name, argv in sorted(CASES.items()):
+        expected = (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+        print(f"{name}: max |float move| {golden_float_move(expected, render(argv)):.3g}")
+elif __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in sorted(CASES.items()):
         (GOLDEN / f"{name}.out").write_text(render(argv), encoding="utf-8")

@@ -6,7 +6,9 @@ recursion limit.  The oracle is closed-form: H applied an odd number of
 times is H, so the final read-out of |0> gives 0 and 1 with probability
 1/2 each.
 """
+import collections
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,6 +59,22 @@ def test_long_program_samples_and_checks_schedules(measured):
     assert sum(counts.values()) == 40
     assert {dict(key)[(1, H_COUNT)] for key in counts} <= {0, 1}
     assert S.check_schedule_independence(measured) == 1
+
+
+def test_sampler_memory_is_linear_in_program_length():
+    # A trie node keeps its outcome prefix as a link to its parent, and
+    # the sorted outcome key is built once per distinct leaf.  Keys built
+    # per node made the first shot through this chain peak at 64 MiB.
+    prep = S.prepare(parse("for i = 1 to 3999: H(1);\nb := SM(1)\n"))
+    tracemalloc.start()
+    try:
+        counts = S.sample_distribution(prep, shots=20, seed=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert counts == collections.Counter(S.run(prep, seed=8 + k).outcomes for k in range(20))
+    assert len(counts) == 2
 
 
 def test_long_measurement_free_program_composes_to_h():

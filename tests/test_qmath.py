@@ -304,6 +304,26 @@ def test_family_equality_and_hash():
 # applying operators: stride embedding vs the naive oracle
 # ---------------------------------------------------------------------------
 
+def structured_operators(rng: np.random.Generator, dim: int) -> list:
+    """(kind it must get, operator): a general diagonal (zeros and
+    repeats), a diagonal of phases, the identity, a monomial with phases
+    and a permutation that moves every row, besides a dense operator."""
+    def phases(n):
+        # unit phases, with repeats and with 1 among them
+        return rng.choice([1, -1, 1j, np.exp(0.3j), np.exp(rng.uniform(0, 6) * 1j)], size=n)
+    perm = rng.permutation(dim)
+    if (perm == np.arange(dim)).all():
+        perm = perm[::-1]
+    return [
+        ("dense", rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))),
+        ("diagonal", np.diag(rng.choice([0, 1, -1, 0.5j, rng.normal() + 1j], size=dim))),
+        ("diagonal", np.diag(phases(dim))),
+        ("diagonal", np.eye(dim)),
+        ("monomial", np.eye(dim)[perm] * phases(dim)[:, None]),
+        ("monomial", np.eye(dim)[np.roll(np.arange(dim), 1)]),
+    ]
+
+
 def test_apply_operator_matches_oracle():
     rng = np.random.default_rng(2024)
     cases = [
@@ -312,12 +332,14 @@ def test_apply_operator_matches_oracle():
         (4, (3,)), (4, (4, 2)), (4, (1, 4, 2)),
     ]
     for width, wires in cases:
-        dim = 2**len(wires)
-        op = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         s = random_state(rng, width)
-        got = Q.apply_operator(s.amplitudes, op, wires, width)
-        want = embed_oracle(op, wires, width) @ s.amplitudes
-        assert np.abs(got - want).max() < 1e-12, (width, wires)
+        for kind, op in structured_operators(rng, 2**len(wires)):
+            st = Q.structure(op.astype(complex))
+            assert st.kind == kind, (width, wires, op)
+            want = embed_oracle(op, wires, width) @ s.amplitudes
+            for applied in (op, st):  # the dense path is the reference
+                got = Q.apply_operator(s.amplitudes, applied, wires, width)
+                assert np.abs(got - want).max() < 1e-12, (width, wires, op)
 
 
 def test_apply_unitary_preserves_norm():
@@ -373,6 +395,22 @@ def test_post_state_is_frozen_and_normalized_without_revalidation():
     huge = Q.MeasurementFamily("huge", 1, (Q.Outcome(0, np.full((2, 2), 1.5e308)),))
     with np.errstate(all="ignore"), pytest.raises(InvalidFamilyError, match="nan"):
         Q.collapse(Q.make_state("plus", 1), huge, (1,), 0)
+
+
+def test_unitary_outcome_is_divided_only_off_unit_norm():
+    rng = np.random.default_rng(8)
+    s = random_state(rng, 3)
+    h = Q.std_gate("H")
+    (o,) = Q.outcome_vectors(s, h, (2,))
+    assert abs(o.norm2 - 1.0) <= Q.UNIT_NORM_SLACK
+    assert Q.post_state(s, h, o).amplitudes is o.vector
+    # Complete within ATOL but not within UNIT_NORM_SLACK: each outcome
+    # is divided, so the norm does not drift over many gates.
+    lossy = Q.unitary_family("lossy", np.diag([1.0, 1.0 - 1e-10]))
+    t = Q.make_state("plus", 1)
+    for _ in range(2000):
+        t = Q.collapse(t, lossy, (1,), 0)
+    assert abs(np.linalg.norm(t.amplitudes) - 1.0) < 1e-13
 
 
 def test_parity_measurement_on_bell():
