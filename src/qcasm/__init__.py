@@ -20,7 +20,7 @@ from .circuit import (DecompLeaf, DecompNode, Gate, GeneralizedCircuit,
                       all_schedules, canonicalize, check_schedule,
                       decomposition, greedy_schedule, lower, schedule_from_order,
                       sp_pairs, to_dot)
-from .errors import (CapExceededError, CheckError, Diagnostic, ElaborationError,
+from .errors import (CapExceededError, Diagnostic, ElaborationError,
                      ImpossibleBranchError, LoweringError, ParseError,
                      QcasmError, ScheduleError, SimulationError)
 from .parser import parse, pretty
@@ -35,7 +35,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ATOL", "MAX_WIDTH", "PRUNE_EPS",
-    "Branch", "CapExceededError", "CheckError", "DecompLeaf", "DecompNode",
+    "Branch", "CapExceededError", "DecompLeaf", "DecompNode",
     "Diagnostic", "ElaborationError", "Enumeration", "Gate",
     "GeneralizedCircuit", "ImpossibleBranchError", "LoweringError",
     "MeasurementFamily", "Outcome", "ParseError", "Program", "QcasmError",

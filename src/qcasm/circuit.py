@@ -50,10 +50,6 @@ class Gate:
             raise LoweringError("a gate needs one more family than guards")
 
     @property
-    def arity(self) -> int:
-        return len(self.wires)
-
-    @property
     def label(self) -> str:
         text = self.families[0].name if len(self.families) == 1 else \
             " / ".join(f.name for f in self.families)

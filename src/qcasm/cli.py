@@ -123,23 +123,27 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _ground(args) -> tuple[ast.Program, Registry]:
+    bindings = _parse_params(args.param)
     registry = _load_registries(args.registry)
     program = parse(_read_program(args.program))
-    ground = ast.elaborate(program, _parse_params(args.param), registry)
-    return ground, registry
+    return ast.elaborate(program, bindings, registry), registry
 
 
 def _prepare(args) -> sim.PreparedProgram:
-    """Elaborate, lower and schedule once, as --schedule asks."""
+    """Elaborate, lower and schedule once, as --schedule asks.  The
+    --schedule text is read before any program work, so a usage error
+    is reported as one."""
+    index = None
+    if args.schedule != "greedy":
+        try:
+            index = int(args.schedule)
+        except ValueError:
+            raise _UsageError(f"--schedule wants 'greedy' or an index, "
+                              f"got {args.schedule!r}") from None
     ground, registry = _ground(args)
     prep = sim.prepare(ground, registry=registry)
-    if args.schedule == "greedy":
+    if index is None:
         return prep
-    try:
-        index = int(args.schedule)
-    except ValueError:
-        raise _UsageError(f"--schedule wants 'greedy' or an index, "
-                          f"got {args.schedule!r}") from None
     options = circuit.all_schedules(prep.circuit)
     if not 0 <= index < len(options):
         raise QcasmError(f"schedule index {index} out of range; "
@@ -152,9 +156,10 @@ def _prepare(args) -> sim.PreparedProgram:
 # ---------------------------------------------------------------------------
 
 def _cmd_check(args) -> int:
+    bindings = _parse_params(args.param)
     registry = _load_registries(args.registry)
     program = parse(_read_program(args.program))
-    ground, diags = ast.check_program(program, _parse_params(args.param), registry)
+    ground, diags = ast.check_program(program, bindings, registry)
     for d in diags:
         print(d.render(), file=sys.stderr)
     if ground is None or any(d.severity == "error" for d in diags):
@@ -183,9 +188,9 @@ def _cmd_lower(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    prep = _prepare(args)
     if args.shots < 1:
         raise _UsageError("--shots must be at least 1")
+    prep = _prepare(args)
     if args.shots == 1:
         result = sim.run(prep, seed=args.seed)
         if args.format == "json":

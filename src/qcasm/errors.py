@@ -54,15 +54,6 @@ class ElaborationError(QcasmError):
         self.clause = clause
 
 
-class CheckError(QcasmError):
-    """Raised when a program with well-formedness diagnostics is executed."""
-
-    def __init__(self, diagnostics):
-        self.diagnostics = list(diagnostics)
-        lines = "; ".join(d.message for d in self.diagnostics)
-        super().__init__(f"program is not well formed: {lines}")
-
-
 class LoweringError(QcasmError):
     pass
 

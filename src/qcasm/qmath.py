@@ -10,21 +10,18 @@ Conventions used throughout the package:
   Outcome i occurs with probability ||A_i |s>||**2 and collapses the state
   to A_i |s> / ||A_i |s>||.  A unitary gate is the one-outcome special case.
 * Gates act on arbitrary distinct wires; the full 2**w x 2**w matrix is
-  never materialized.  Each operator of a family is given a structure
-  once, when the family is built, from its exact zero pattern
-  (``structure``), and ``apply_operator`` applies it by that structure
-  on the (2,)*w view of the amplitudes, with no transpose:
-  - a *diagonal* (R_k, cR_k, Z, reflect0, I, the SM and PM projectors)
-    is one pass that copies the state, or scales it by the diagonal's
-    most common entry, then an in-place multiply of the slice of each
-    entry that differs (one quarter of the state for cR_k);
-  - a *monomial*, one nonzero per row and per column (X, CNOT, SWAP,
-    mark), copies each row that it moves as one strided slice, with a
-    multiply only where the phase is not 1, after one copy of the rows
-    it keeps;
-  - anything else (H, QFT_n, most user families) is *dense*: the gate's
-    axes are transposed to the front and the operator is contracted
-    against them by a matrix product.
+  never materialized.  Each operator is classified from its exact zero
+  pattern (``structure``) the first time it is applied, and
+  ``apply_operator`` applies it by that kind:
+  - a *gather*, at most one nonzero per row (R_k, cR_k, Z, reflect0, I,
+    X, CNOT, SWAP, mark, the SM and PM projectors), makes each output
+    row a factor times one input row: one pass copies the state, or
+    scales it by the most common factor of the rows that read
+    themselves, then each other row is one strided slice copy, or an
+    in-place multiply where its factor is not 1 (one quarter of the
+    state for cR_k), on the (2,)*w view with no transpose;
+  - anything else (H, QFT_n, most user families) is *dense*: one
+    ``tensordot`` contracts the operator with the gate's axes.
 * A taken outcome A_i |s> is divided by its norm, except for a
   single-outcome family whose squared norm is already within
   ``UNIT_NORM_SLACK`` of 1: a unitary leaves the state normalized to
@@ -124,14 +121,14 @@ class QuantumState:
 class Structure(NamedTuple):
     """An operator with the structure ``apply_operator`` exploits.
 
-    ``kind`` is "diagonal", "monomial" (one nonzero per row and per
-    column) or "dense", and ``matrix`` is the operator itself.  For the
-    first two, row r of the output is factor * row c of the input, and
-    ``data`` is (base, moves): a move (bits of r, bits of c, factor or
-    None for 1) for each row r except those with c = r and factor
-    ``base``, which is None when no row is excepted.  A diagonal's base
-    is its most common entry, a monomial's is 1.  Bits are in the order
-    of the gate's wire arguments.  For "dense", ``data`` is None."""
+    ``kind`` is "gather" (at most one nonzero per row) or "dense", and
+    ``matrix`` is the operator itself.  In a gather, row r of the output
+    is factor * row c of the input; a zero row reads its own row times
+    0.  ``data`` is (base, moves): a move (bits of r, bits of c, factor
+    or None for 1) for each row r except those with c = r and factor
+    ``base``.  ``base`` is the most common factor among the rows with
+    c = r, or None when there are none.  Bits are in the order of the
+    gate's wire arguments.  For "dense", ``data`` is None."""
 
     kind: str
     matrix: np.ndarray
@@ -140,37 +137,33 @@ class Structure(NamedTuple):
 
 def structure(op: np.ndarray) -> Structure:
     """Classify a square 2**k operator by its exact zero pattern.  Exact
-    zeros make the structured kernels compute the same products as the
-    dense one, so only the order of the float operations can differ."""
-    dim = len(op)
+    zeros make the gather kernel compute the same products as the dense
+    one, so only the order of the float operations can differ."""
     nz = op != 0
-    nonzero = np.count_nonzero(nz)
-    if nonzero == np.count_nonzero(nz.diagonal()):
-        kind, factors = "diagonal", op.diagonal().tolist()
-        base = Counter(factors).most_common(1)[0][0]
-        moved = [(row, row, f) for row, f in enumerate(factors) if f != base]
-    elif nonzero == dim and nz.any(axis=0).all() and nz.any(axis=1).all():
-        # dim nonzeros that meet every row and every column: one in each
-        kind, base, cols = "monomial", 1, nz.argmax(axis=1)
-        factors = op[np.arange(dim), cols].tolist()
-        moved = [(row, col, f) for row, (col, f) in enumerate(zip(cols.tolist(), factors))
-                 if col != row or f != 1]
-    else:
+    if (np.count_nonzero(nz, axis=1) > 1).any():
         return Structure("dense", op, None)
-    k = dim.bit_length() - 1
+    rows = np.arange(len(op))
+    cols = np.where(nz.any(axis=1), nz.argmax(axis=1), rows)
+    gathered = list(zip(rows.tolist(), cols.tolist(), op[rows, cols].tolist()))
+    kept = Counter(f for row, col, f in gathered if col == row).most_common(1)
+    base = kept[0][0] if kept else None
+    k = len(op).bit_length() - 1
     moves = tuple((index_bits(row, k), index_bits(col, k), None if f == 1 else f)
-                  for row, col, f in moved)
-    return Structure(kind, op, (None if len(moves) == dim else base, moves))
+                  for row, col, f in gathered if col != row or f != base)
+    return Structure("gather", op, (base, moves))
 
 
 @dataclass(frozen=True)
 class Outcome:
-    """One labelled operator of a measurement family.  The family fills
-    in ``structure`` when it takes the operator."""
+    """One labelled operator of a measurement family."""
 
     label: int
     operator: np.ndarray
-    structure: Structure | None = field(default=None, repr=False, compare=False)
+
+    @functools.cached_property
+    def structure(self) -> Structure:
+        """The operator classified by ``structure``, on first use."""
+        return structure(self.operator)
 
 
 @dataclass(frozen=True)
@@ -212,7 +205,7 @@ class MeasurementFamily:
                 raise InvalidFamilyError(
                     f"{self.name}: dimension mismatch, arity {self.arity} needs {dim}x{dim} operators"
                 )
-            fixed.append(Outcome(label, op, structure(op)))
+            fixed.append(Outcome(label, op))
         labels = [oc.label for oc in fixed]
         if len(set(labels)) != len(labels):
             raise InvalidFamilyError(f"{self.name}: outcome labels must be distinct, got {labels}")
@@ -383,26 +376,6 @@ def make_state(spec: StateDescriptor, width: int, registry: "Registry | None" = 
 # applying operators to selected wires
 # ---------------------------------------------------------------------------
 
-def _wire_block(amps: np.ndarray, wires: tuple[int, ...], width: int):
-    """View the amplitudes as a (2**k, 2**(width-k)) block, gate wires first.
-
-    Returns the block together with the inverse axis permutation needed to
-    undo the reordering.  Works on strides only; nothing of size 4**width
-    is ever built.
-    """
-    k = len(wires)
-    axes = [w - 1 for w in wires]
-    rest = [a for a in range(width) if a not in axes]
-    perm = axes + rest
-    inv = np.argsort(perm)
-    block = amps.reshape((2,) * width).transpose(perm).reshape(2**k, -1)
-    return block, inv
-
-
-def _block_to_amps(block: np.ndarray, inv: np.ndarray, width: int) -> np.ndarray:
-    return block.reshape((2,) * width).transpose(inv).reshape(-1)
-
-
 @functools.lru_cache(maxsize=1024)
 def _layout(wires: tuple[int, ...], width: int):
     """The (2,)*width view with each run of non-gate wires merged into one
@@ -432,8 +405,10 @@ def apply_operator(amps: np.ndarray, op: np.ndarray | Structure, wires: Sequence
     if matrix.shape != (2**k, 2**k):
         raise InvalidFamilyError(f"operator of shape {matrix.shape} does not act on {k} wires")
     if kind == "dense":
-        block, inv = _wire_block(amps, ws, width)
-        return _block_to_amps(matrix @ block, inv, width)
+        axes = [w - 1 for w in ws]
+        out = np.tensordot(matrix.reshape((2,) * (2 * k)), amps.reshape((2,) * width),
+                           axes=(range(k, 2 * k), axes))
+        return np.moveaxis(out, range(k), axes).reshape(-1)
     base, moves = data
     view, order = _layout(ws, width)
 

@@ -182,6 +182,19 @@ def test_run_shots_must_be_positive(capsys):
                    capsys=capsys)[0] == 2
 
 
+@pytest.mark.parametrize("usage", [
+    ["--shots", "0"], ["--schedule", "fast"], ["--param", "n"],
+])
+@pytest.mark.parametrize("text", ["H(1) @\n", "X_(1)(1)\n"])
+def test_usage_error_comes_before_program_errors(tmp_path, capsys, usage, text):
+    # a parse error and an elaboration error (X takes no parameter)
+    bad = tmp_path / "bad.qcasm"
+    bad.write_text(text)
+    code, out, err = run_cli("run", str(bad), *usage, capsys=capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error:")
+
+
 def test_run_schedule_index(capsys):
     base = run_cli("run", TELEPORT, "--registry", TELE_REG, "--schedule", "0",
                    capsys=capsys)

@@ -1,13 +1,13 @@
 """Random programs against a dense reference simulator.
 
-Hypothesis builds short programs on at most 6 wires from library gates
-of every operator structure (diagonal, monomial and dense), with ``c``
-controls, guards, explicit else branches, phase prefixes and wires in
-any order.  The reference applies each gate as a full 2**w x 2**w
-matrix, embedded with ``np.kron`` and a basis permutation, and follows
-every measurement outcome.  Its gate matrices are written out here from
-their definitions, not taken from qcasm, so a defect in the library or
-in a kernel cannot be shared with the oracle.
+Hypothesis builds short programs on at most 8 wires from library gates
+of both operator structures (gather and dense), with ``c`` controls,
+guards, explicit else branches, phase prefixes and wires in any order.
+The reference applies each gate as a full 2**w x 2**w matrix, embedded
+with ``np.kron`` and a basis permutation, and follows every measurement
+outcome.  Its gate matrices are written out here from their
+definitions, not taken from qcasm, so a defect in the library or in a
+kernel cannot be shared with the oracle.
 """
 import math
 
@@ -19,7 +19,7 @@ from qcasm import qmath as Q
 from qcasm import sim as S
 from qcasm.parser import parse
 
-MAX_WIDTH = 6
+MAX_WIDTH = 8
 H = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 X = np.array([[0, 1], [1, 0]])
 Z = np.diag([1, -1])

@@ -306,8 +306,9 @@ def test_family_equality_and_hash():
 
 def structured_operators(rng: np.random.Generator, dim: int) -> list:
     """(kind it must get, operator): a general diagonal (zeros and
-    repeats), a diagonal of phases, the identity, a monomial with phases
-    and a permutation that moves every row, besides a dense operator."""
+    repeats), a diagonal of phases, the identity, a monomial with phases,
+    a permutation that moves every row and the two operators of a reset
+    family, besides a dense operator."""
     def phases(n):
         # unit phases, with repeats and with 1 among them
         return rng.choice([1, -1, 1j, np.exp(0.3j), np.exp(rng.uniform(0, 6) * 1j)], size=n)
@@ -316,11 +317,15 @@ def structured_operators(rng: np.random.Generator, dim: int) -> list:
         perm = perm[::-1]
     return [
         ("dense", rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))),
-        ("diagonal", np.diag(rng.choice([0, 1, -1, 0.5j, rng.normal() + 1j], size=dim))),
-        ("diagonal", np.diag(phases(dim))),
-        ("diagonal", np.eye(dim)),
-        ("monomial", np.eye(dim)[perm] * phases(dim)[:, None]),
-        ("monomial", np.eye(dim)[np.roll(np.arange(dim), 1)]),
+        ("gather", np.diag(rng.choice([0, 1, -1, 0.5j, rng.normal() + 1j], size=dim))),
+        ("gather", np.diag(phases(dim))),
+        ("gather", np.eye(dim)),
+        ("gather", np.eye(dim)[perm] * phases(dim)[:, None]),
+        ("gather", np.eye(dim)[np.roll(np.arange(dim), 1)]),
+        # |0><0| and |0><1| on the first wire of the gate: complete, and
+        # neither diagonal nor one nonzero per column
+        ("gather", np.kron([[1, 0], [0, 0]], np.eye(dim // 2))),
+        ("gather", np.kron([[0, 1], [0, 0]], np.eye(dim // 2))),
     ]
 
 

@@ -112,6 +112,22 @@ def test_run_is_deterministic(tele_registry):
     assert a.probability == b.probability
 
 
+def test_operators_are_classified_once_when_first_applied(monkeypatch):
+    classified = []
+    classify = Q.structure
+    monkeypatch.setattr(Q, "structure", lambda op: classified.append(op) or classify(op))
+    prog = A.elaborate(corpus_program("qft"), {"n": 8})
+    A.elaborate(corpus_program("grover"), {"n": 6, "N": 64, "m": 45})
+    assert classified == []
+    prep = S.prepare(prog)
+    S.run(prep, seed=1)
+    S.run(prep, seed=2)
+    fired = {id(oc.operator) for g in prep.circuit.gates for oc in g.families[0].outcomes}
+    # H, SWAP and cR_2 .. cR_8; the R_k that cR_k is built from never fire
+    assert len(fired) == 9
+    assert sorted(map(id, classified)) == sorted(fired)
+
+
 def test_run_seeds_cover_branches(tele_registry):
     prog = corpus_program("teleport")
     seen = {S.run(prog, seed=s, registry=tele_registry).outcomes for s in range(40)}
