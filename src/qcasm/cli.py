@@ -113,13 +113,16 @@ class _UsageError(Exception):
 
 
 def _emit(text: str, out: str | None) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
+    """Write ``text`` and a final newline if it lacks one, without
+    copying the text to append it."""
+    end = "" if text.endswith("\n") else "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+            fh.write(end)
     else:
         sys.stdout.write(text)
+        sys.stdout.write(end)
 
 
 def _ground(args) -> tuple[ast.Program, Registry]:

@@ -22,6 +22,11 @@ Conventions used throughout the package:
     state for cR_k), on the (2,)*w view with no transpose;
   - anything else (H, QFT_n, most user families) is *dense*: one
     ``tensordot`` contracts the operator with the gate's axes.
+  Each kind writes a new vector or a buffer the caller passes, and a
+  diagonal gather (every row reads itself) can scale the state in
+  place; the three paths give the same bytes.  The simulator's walk
+  uses the last two (``outcome_vectors_into``), so a gather allocates
+  no state-sized array there (a dense gate keeps tensordot's own).
 * A taken outcome A_i |s> is divided by its norm, except for a
   single-outcome family whose squared norm is already within
   ``UNIT_NORM_SLACK`` of 1: a unitary leaves the state normalized to
@@ -110,7 +115,9 @@ class QuantumState:
     def _unchecked(cls, width: int, amplitudes: np.ndarray) -> "QuantumState":
         """Wrap a state the package derived itself and knows to be finite
         and normalized: the array is frozen in place, with no validation
-        pass and no copy, so the caller must hold no other reference."""
+        pass and no copy, so the caller must hold no other reference.
+        The simulator's walk writes its arrays in place or reuses them
+        as scratch until it wraps one here, and never writes it again."""
         amplitudes.setflags(write=False)
         state = object.__new__(cls)
         object.__setattr__(state, "width", width)
@@ -128,11 +135,14 @@ class Structure(NamedTuple):
     or None for 1) for each row r except those with c = r and factor
     ``base``.  ``base`` is the most common factor among the rows with
     c = r, or None when there are none.  Bits are in the order of the
-    gate's wire arguments.  For "dense", ``data`` is None."""
+    gate's wire arguments.  For "dense", ``data`` is None.  ``diagonal``
+    is true for a gather whose every row reads itself: it only scales
+    rows, so it can be applied in place."""
 
     kind: str
     matrix: np.ndarray
     data: object
+    diagonal: bool = False
 
 
 def structure(op: np.ndarray) -> Structure:
@@ -150,12 +160,13 @@ def structure(op: np.ndarray) -> Structure:
     k = len(op).bit_length() - 1
     moves = tuple((index_bits(row, k), index_bits(col, k), None if f == 1 else f)
                   for row, col, f in gathered if col != row or f != base)
-    return Structure("gather", op, (base, moves))
+    return Structure("gather", op, (base, moves), bool((cols == rows).all()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Outcome:
-    """One labelled operator of a measurement family."""
+    """One labelled operator of a measurement family.  Two outcomes are
+    equal when their labels are and their operators are entrywise."""
 
     label: int
     operator: np.ndarray
@@ -164,6 +175,14 @@ class Outcome:
     def structure(self) -> Structure:
         """The operator classified by ``structure``, on first use."""
         return structure(self.operator)
+
+    def __eq__(self, other):
+        if not isinstance(other, Outcome):
+            return NotImplemented
+        return self.label == other.label and np.array_equal(self.operator, other.operator)
+
+    def __hash__(self):
+        return hash((self.label, np.shape(self.operator)))
 
 
 @dataclass(frozen=True)
@@ -232,12 +251,8 @@ class MeasurementFamily:
     def __eq__(self, other):
         if not isinstance(other, MeasurementFamily):
             return NotImplemented
-        return (
-            self.name == other.name
-            and self.arity == other.arity
-            and self.labels == other.labels
-            and all(np.array_equal(a.operator, b.operator) for a, b in zip(self.outcomes, other.outcomes))
-        )
+        return self.name == other.name and self.arity == other.arity \
+            and self.outcomes == other.outcomes
 
     def __hash__(self):
         return hash((self.name, self.arity, self.labels))
@@ -395,40 +410,63 @@ _ALL = slice(None)
 
 
 def apply_operator(amps: np.ndarray, op: np.ndarray | Structure, wires: Sequence[int],
-                   width: int) -> np.ndarray:
+                   width: int, out: np.ndarray | None = None) -> np.ndarray:
     """Apply a k-qubit operator to the named wires of a raw amplitude
-    vector, returning a new vector.  A plain matrix is applied dense; a
-    ``Structure`` by its kind (see the module docstring)."""
+    vector.  A plain matrix is applied dense; a ``Structure`` by its kind
+    (see the module docstring).  The result is a new vector, or ``out``
+    when one is given: ``amps`` itself for a diagonal structure, which
+    is then scaled in place, else a buffer that does not overlap
+    ``amps``, every entry of which is written.  Each path computes the
+    same products, so the three give the same bytes."""
     ws = check_wires(wires, width)
     k = len(ws)
-    kind, matrix, data = op if isinstance(op, Structure) else ("dense", op, None)
+    kind, matrix, data, diagonal = op if isinstance(op, Structure) else ("dense", op, None, False)
     if matrix.shape != (2**k, 2**k):
         raise InvalidFamilyError(f"operator of shape {matrix.shape} does not act on {k} wires")
+    if out is amps and not diagonal:
+        raise QmathError("only a diagonal operator is applied in place")
     if kind == "dense":
         axes = [w - 1 for w in ws]
-        out = np.tensordot(matrix.reshape((2,) * (2 * k)), amps.reshape((2,) * width),
+        res = np.tensordot(matrix.reshape((2,) * (2 * k)), amps.reshape((2,) * width),
                            axes=(range(k, 2 * k), axes))
-        return np.moveaxis(out, range(k), axes).reshape(-1)
+        res = np.moveaxis(res, range(k), axes)
+        if out is None:
+            return res.reshape(-1)
+        out.reshape((2,) * width)[...] = res
+        return out
     base, moves = data
     view, order = _layout(ws, width)
 
     def at(bits):
         return (*[i for j in order for i in (_ALL, bits[j])], _ALL)
 
-    # One pass writes every row that is not moved, then each move writes
-    # its slice: 1/2**k of the state.
-    if base is None:
-        out = np.empty(amps.shape, _COMPLEX)
-    elif base == 1:
-        out = amps.astype(_COMPLEX)
+    src = amps.reshape(view)
+    reads = [src[at(col)] for _row, col, _f in moves]
+    if out is amps:
+        # Rows of factor 1 are not touched.  The moved rows are saved
+        # before the state is scaled by a base other than 1, and so is a
+        # row of one amplitude (a gate on every wire), which numpy rounds
+        # differently when it multiplies it in place.  So every row gets
+        # the bytes that the other paths compute.
+        if base != 1 or k == width:
+            reads = [r.copy() for r in reads]
+        if base != 1:
+            np.multiply(amps, base, out=amps)
     else:
-        out = amps * base
-    src, dst = amps.reshape(view), out.reshape(view)
-    for row, col, factor in moves:
+        # One pass writes every row that is not moved, then each move
+        # writes its slice: 1/2**k of the state.
+        if out is None:
+            out = np.empty(amps.shape, _COMPLEX)
+        if base == 1:
+            out[...] = amps
+        elif base is not None:
+            np.multiply(amps, base, out=out)
+    dst = out.reshape(view)
+    for (row, _col, factor), read in zip(moves, reads):
         if factor is None:
-            dst[at(row)] = src[at(col)]
+            dst[at(row)] = read
         else:
-            np.multiply(src[at(col)], factor, out=dst[at(row)])
+            np.multiply(read, factor, out=dst[at(row)])
     return out
 
 
@@ -460,15 +498,34 @@ class OutcomeVector(NamedTuple):
 def outcome_vectors(s: QuantumState, f: MeasurementFamily, wires: Sequence[int],
                     labels: Sequence[int] | None = None) -> tuple[OutcomeVector, ...]:
     """A_i |s> for the given labels (default: every outcome, in family
-    order), one operator application each.  A squared norm above
-    1 + ATOL means the family is not complete and is rejected; so is a
-    non-finite one, so every vector returned is finite."""
-    ws = check_wires(wires, s.width)
+    order), one operator application each, each into a new vector.  A
+    squared norm above 1 + ATOL means the family is not complete and is
+    rejected; so is a non-finite one, so every vector returned is finite."""
+    return _outcome_vectors(s.amplitudes, s.width, f, wires, labels, None)
+
+
+def outcome_vectors_into(amps: np.ndarray, width: int, f: MeasurementFamily,
+                         wires: Sequence[int], scratch: Callable[[], np.ndarray]
+                         ) -> tuple[OutcomeVector, ...]:
+    """Every outcome of ``f`` on the raw amplitude array ``amps``, which
+    the caller owns and hands over, checked as by ``outcome_vectors``.
+    The one operator of a single-outcome family that is a diagonal
+    scales ``amps`` in place; any other outcome is written into the
+    buffer that ``scratch()`` returns, and ``amps`` is left unchanged."""
+    return _outcome_vectors(amps, width, f, wires, None, scratch)
+
+
+def _outcome_vectors(amps, width, f, wires, labels, scratch) -> tuple[OutcomeVector, ...]:
+    ws = check_wires(wires, width)
     if len(ws) != f.arity:
         raise InvalidFamilyError(f"{f.name}: family of arity {f.arity} applied to {len(ws)} wires")
     out = []
     for label in f.labels if labels is None else labels:
-        vec = apply_operator(s.amplitudes, f.outcome(label).structure, ws, s.width)
+        st = f.outcome(label).structure
+        buf = None
+        if scratch is not None:
+            buf = amps if f.is_unitary and st.diagonal else scratch()
+        vec = apply_operator(amps, st, ws, width, buf)
         norm2 = float(np.real(np.vdot(vec, vec)))
         if not norm2 <= 1.0 + ATOL:  # also true for nan
             raise InvalidFamilyError(f"{f.name}: outcome probability {norm2} is not at most 1")
@@ -476,8 +533,9 @@ def outcome_vectors(s: QuantumState, f: MeasurementFamily, wires: Sequence[int],
     return tuple(out)
 
 
-def post_state(s: QuantumState, f: MeasurementFamily, o: OutcomeVector) -> QuantumState:
-    """The post-measurement state A_i |s> / ||A_i |s>|| of a taken outcome.
+def post_vector(f: MeasurementFamily, o: OutcomeVector) -> np.ndarray:
+    """The amplitudes A_i |s> / ||A_i |s>|| of a taken outcome, divided
+    in place: ``o.vector`` becomes the post-measurement amplitudes.
 
     ``outcome_vectors`` has already bounded the squared norm (finite, at
     most 1 + ATOL) and this rejects it below PRUNE_EPS, so the quotient
@@ -490,8 +548,14 @@ def post_state(s: QuantumState, f: MeasurementFamily, o: OutcomeVector) -> Quant
             f"{f.name}: outcome {o.label} has probability {o.norm2:.3e} below {PRUNE_EPS}"
         )
     if f.is_unitary and abs(o.norm2 - 1.0) <= UNIT_NORM_SLACK:
-        return QuantumState._unchecked(s.width, o.vector)
-    return QuantumState._unchecked(s.width, o.vector / math.sqrt(o.norm2))
+        return o.vector
+    return np.divide(o.vector, math.sqrt(o.norm2), out=o.vector)
+
+
+def post_state(s: QuantumState, f: MeasurementFamily, o: OutcomeVector) -> QuantumState:
+    """The post-measurement state of a taken outcome: ``post_vector``,
+    frozen, with no copy."""
+    return QuantumState._unchecked(s.width, post_vector(f, o))
 
 
 def outcome_probability(s: QuantumState, f: MeasurementFamily, wires: Sequence[int], label: int) -> float:

@@ -34,7 +34,7 @@ from .circuit import Gate, GeneralizedCircuit, Gid, Schedule
 from .errors import ImpossibleBranchError, SimulationError
 from .qmath import (ATOL, PRUNE_EPS, MAX_WIDTH, MeasurementFamily, OutcomeVector,
                     QuantumState, Registry, collapse, make_state, outcome_vectors,
-                    post_state)
+                    outcome_vectors_into, post_state, post_vector)
 
 DEFAULT_MAX_BRANCHES = 2**20
 UNITARY_MAX_WIDTH = 12
@@ -193,13 +193,18 @@ def _guard_value(e: ast.Expr, store) -> bool:
     return v
 
 
+def _family(gate: Gate, store) -> MeasurementFamily:
+    """The family ``gate`` applies: the first whose guard holds, else the last."""
+    return next((f for g, f in zip(gate.guards, gate.families) if _guard_value(g, store)),
+                gate.families[-1])
+
+
 def fire(state: QuantumState, gate: Gate,
          store) -> tuple[MeasurementFamily, tuple[OutcomeVector, ...]]:
-    """Fire ``gate`` on ``state``: select its family (the first whose guard
-    holds, else the last) and compute A_i |s> once per outcome.  Only the
-    outcomes taken are normalized into a state (``qmath.post_state``)."""
-    fam = next((f for g, f in zip(gate.guards, gate.families) if _guard_value(g, store)),
-               gate.families[-1])
+    """Fire ``gate`` on ``state``: select its family and compute A_i |s>
+    once per outcome.  Only the outcomes taken are normalized into a
+    state (``qmath.post_state``)."""
+    fam = _family(gate, store)
     return fam, outcome_vectors(state, fam, gate.wires)
 
 
@@ -273,29 +278,55 @@ def _run_classical(program: ast.Program, store: dict) -> dict:
 # run / enumerate / sample
 # ---------------------------------------------------------------------------
 
+def _scratch(spare: np.ndarray | None, size: int) -> np.ndarray:
+    """The buffer that ``_walk`` writes its next outcome into: the array
+    that a gate left dead, else a new one."""
+    return np.empty(size, np.complex128) if spare is None else spare
+
+
 def _walk(prep: PreparedProgram, state: QuantumState, follow):
     """Walk the outcome tree from ``state`` depth first on an explicit
     stack.  At each gate ``follow(gate, family, outcomes, probability)``
     returns, in label order, each outcome to follow or the path mass (a
     float) of one cut off.  Yields cut masses and leaves (state, store,
     probability, path) in visiting order; a path is the linked tuple
-    (path, step, gate, family name, label), ending in None."""
+    (path, step, gate, family name, label), ending in None.
+
+    The caller builds ``state`` for the walk and hands it over.  Each
+    stack entry owns its amplitude array: a single-outcome diagonal
+    scales it in place, any other outcome is written into a scratch
+    buffer, and the array that gate read, now dead, is the next scratch
+    (``qmath.outcome_vectors_into``).  A leaf's array is frozen when it
+    is yielded and is never written again."""
     firing = prep.firing
-    stack: list = [(0, state, {}, 1.0, None)]
+    width = state.width
+    amps = state.amplitudes
+    amps.setflags(write=True)
+    spare = None
+
+    def scratch() -> np.ndarray:
+        nonlocal spare
+        buf, spare = _scratch(spare, 2**width), None
+        return buf
+
+    stack: list = [(0, amps, {}, 1.0, None)]
     while stack:
         node = stack.pop()
         if isinstance(node, float):
             yield node
             continue
-        k, state, store, prob, path = node
+        k, amps, store, prob, path = node
         if k == len(firing):
-            yield state, store, prob, path
+            yield QuantumState._unchecked(width, amps), store, prob, path
             continue
         step, gate = firing[k]
-        fam, outs = fire(state, gate, store)
+        fam = _family(gate, store)
+        outs = outcome_vectors_into(amps, width, fam, gate.wires, scratch)
+        if outs[0].vector is not amps:
+            spare = amps
         for out in reversed(follow(gate, fam, outs, prob)):
             stack.append(out if isinstance(out, float) else (
-                k + 1, post_state(state, fam, out),
+                k + 1, post_vector(fam, out),
                 store if gate.out is None else {**store, gate.out: out.label},
                 prob * out.probability, (path, step, gate, fam.name, out.label)))
         outs = out = None  # drop the outcome vectors before the next gate fires
@@ -528,12 +559,17 @@ def program_unitary(program: ast.Program, bindings: dict | None = None,
 
 
 # ---------------------------------------------------------------------------
-# JSON rendering (floats carry 17 significant digits).  State vectors stay
-# (2**w, 2) float arrays of (re, im) rows, and all their amplitudes are
-# emitted in one formatting pass; the text equals that of the same rows
-# as nested lists, since '%.17g' % x == format(x, '.17g') for every
-# finite double and a pair of them always fits the one-line limit.
+# JSON rendering (floats carry 17 significant digits).  The document is
+# built as one list of pieces, joined once.  State vectors stay
+# (2**w, 2) float arrays of (re, im) rows, formatted EMIT_CHUNK_ROWS rows
+# at a time, so no temporary grows with the state; the text equals that
+# of the same rows as nested lists, since '%.17g' % x == format(x,
+# '.17g') for every finite double and a pair of them always fits the
+# one-line limit.
 # ---------------------------------------------------------------------------
+
+EMIT_CHUNK_ROWS = 1024
+
 
 def _fmt_float(x: float) -> str:
     if math.isnan(x) or math.isinf(x):
@@ -542,30 +578,60 @@ def _fmt_float(x: float) -> str:
 
 
 def emit_json(obj, indent: int = 0) -> str:
+    pieces: list[str] = []
+    pieces.append(_render(obj, indent, pieces, ""))
+    return "".join(pieces)
+
+
+def _render(obj, indent: int, out: list[str], lead: str) -> str:
+    """Append the JSON text of ``obj``, after the text ``lead``, to
+    ``out`` and return its closing brackets, which the caller writes
+    before its next piece: so each piece is one leaf (a scalar, a short
+    list or a chunk of rows) with the punctuation before it."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
+    if isinstance(obj, dict):
+        if not obj:
+            out.append(lead + "{}")
+            return ""
+        sep = "{\n"
+        for k, v in obj.items():
+            lead = _render(v, indent + 1, out, f"{lead}{sep}{inner}{json.dumps(str(k))}: ")
+            sep = ",\n"
+        return lead + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if any(isinstance(v, (dict, list, tuple)) for v in obj):
+            sep = "[\n"
+            for v in obj:
+                lead = _render(v, indent + 1, out, lead + sep + inner)
+                sep = ",\n"
+            return lead + "\n" + pad + "]"
+        parts = [emit_json(v, indent + 1) if isinstance(v, np.ndarray) else _scalar_json(v)
+                 for v in obj]
+        if sum(len(s) for s in parts) < 72:
+            out.append(lead + "[" + ", ".join(parts) + "]")
+        else:
+            out.append(lead + "[\n" + ",\n".join(inner + s for s in parts) + "\n" + pad + "]")
+        return ""
     if isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.shape[1] == 2 \
             and obj.dtype.kind == "f":
         if not obj.size:
-            return "[]"
+            out.append(lead + "[]")
+            return ""
         if not np.isfinite(obj).all():
             raise SimulationError("cannot serialize a non-finite number")
-        rows = ",\n".join((inner + "[%.17g, %.17g]",) * len(obj))
-        return "[\n" + rows % tuple(obj.ravel().tolist()) + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f"{inner}{json.dumps(str(k))}: {emit_json(v, indent + 1)}"
-                 for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        parts = [emit_json(v, indent + 1) for v in obj]
-        if all(not isinstance(v, (dict, list, tuple)) for v in obj) and \
-                sum(len(s) for s in parts) < 72:
-            return "[" + ", ".join(parts) + "]"
-        return "[\n" + ",\n".join(inner + s for s in parts) + "\n" + pad + "]"
+        row = inner + "[%.17g, %.17g]"
+        lead += "[\n"
+        for start in range(0, len(obj), EMIT_CHUNK_ROWS):
+            chunk = obj[start:start + EMIT_CHUNK_ROWS]
+            out.append(lead + ",\n".join((row,) * len(chunk)) % tuple(chunk.ravel().tolist()))
+            lead = ",\n"
+        return "\n" + pad + "]"
+    out.append(lead + _scalar_json(obj))
+    return ""
+
+
+def _scalar_json(obj) -> str:
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, int):

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from qcasm import qmath
+from qcasm import qmath, sim
 from qcasm.cli import main
 
 from conftest import FIXTURES, PROGRAMS
@@ -166,6 +166,17 @@ def test_run_out_file(tmp_path, capsys):
     assert code == 0 and out == ""
     doc = json.loads(target.read_text())
     assert doc["state"]["width"] == 3
+
+
+def test_run_out_file_equals_stdout_over_several_emit_chunks(tmp_path, capsys):
+    n = (2 * sim.EMIT_CHUNK_ROWS).bit_length()  # more than two chunks of rows
+    code, out, _ = run_cli("run", QFT, "--param", f"n={n}", capsys=capsys)
+    assert code == 0 and len(json.loads(out)["state"]["amplitudes"]) == 2**n
+    target = tmp_path / "result.json"
+    code, empty, _ = run_cli("run", QFT, "--param", f"n={n}", "--out", str(target),
+                             capsys=capsys)
+    assert code == 0 and empty == ""
+    assert target.read_bytes() == out.encode()
 
 
 def test_run_shots_counts(capsys):

@@ -7,9 +7,13 @@ The reference applies each gate as a full 2**w x 2**w matrix, embedded
 with ``np.kron`` and a basis permutation, and follows every measurement
 outcome.  Its gate matrices are written out here from their
 definitions, not taken from qcasm, so a defect in the library or in a
-kernel cannot be shared with the oracle.
+kernel cannot be shared with the oracle.  The same checks run again
+with every scratch buffer of the simulator's walk filled with NaN, so a
+kernel that leaves an entry of its output unwritten fails them.
 """
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -153,9 +157,7 @@ def ket_index(text: str) -> int:
     return int(text.split()[1], 2)
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(programs(measure=True), st.integers(0, 2**16))
-def test_run_and_enumerate_match_dense_reference(case, seed):
+def check_run_and_enumerate(case, seed):
     text, width, steps = case
     want = reference_branches(width, ket_index(text), steps)
     prep = S.prepare(parse(text))
@@ -173,9 +175,7 @@ def test_run_and_enumerate_match_dense_reference(case, seed):
     assert np.abs(r.state.amplitudes - state).max() <= Q.ATOL, text
 
 
-@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(programs(measure=False))
-def test_program_unitary_matches_dense_reference(case):
+def check_program_unitary(case):
     text, width, steps = case
     want = np.eye(2**width)
     store = {}
@@ -185,3 +185,54 @@ def test_program_unitary_matches_dense_reference(case):
             store[out] = 0
     got = S.program_unitary(parse(text))
     assert np.abs(got - want).max() <= Q.ATOL, text
+
+
+@contextlib.contextmanager
+def poisoned_scratch():
+    """Fill every scratch buffer the walk takes with NaN, so an output
+    entry that a kernel leaves unwritten shows up in the result."""
+    scratch = S._scratch
+    taken = []
+
+    def poisoned(spare, size):
+        buf = scratch(spare, size)
+        buf.fill(np.nan)
+        taken.append(size)
+        return buf
+
+    with mock.patch.object(S, "_scratch", poisoned):
+        yield taken
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(programs(measure=True), st.integers(0, 2**16))
+def test_run_and_enumerate_match_dense_reference(case, seed):
+    check_run_and_enumerate(case, seed)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(programs(measure=False))
+def test_program_unitary_matches_dense_reference(case):
+    check_program_unitary(case)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(programs(measure=True), programs(measure=False), st.integers(0, 2**16))
+def test_kernels_write_every_entry_of_a_scratch_buffer(measured, unitary, seed):
+    with poisoned_scratch():
+        check_run_and_enumerate(measured, seed)
+        check_program_unitary(unitary)
+
+
+def test_poisoned_scratch_reaches_every_entry_point():
+    # H is dense, CNOT a gather that moves rows and SM a measurement: each
+    # is written into a scratch buffer, by run, enumerate and the unitary.
+    text = "ket 01 on 1, 2;\nH(1);\nCNOT(1, 2);\nm := SM(2)\n"
+    steps = [((1,), None, lambda store: {0: H}),
+             ((1, 2), None, lambda store: {0: controlled(X)}),
+             ((2,), "m", lambda store: SM)]
+    with poisoned_scratch() as taken:
+        check_run_and_enumerate((text, 2, steps), 0)
+        assert len(taken) == 4 + 4  # H, CNOT and both SM outcomes, twice
+        check_program_unitary((text.replace(";\nm := SM(2)", ""), 2, steps[:2]))
+        assert len(taken) == 8 + 4 * 2  # H and CNOT on each basis column

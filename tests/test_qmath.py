@@ -5,6 +5,7 @@ The embedding oracle here is deliberately naive: it builds the full
 definition (wire 1 is the most significant bit), and every stride-based
 code path is compared against it on small widths.
 """
+import itertools
 import math
 
 import numpy as np
@@ -12,7 +13,8 @@ import pytest
 
 from qcasm import qmath as Q
 from qcasm.errors import (ImpossibleBranchError, InvalidFamilyError,
-                          InvalidStateError, RegistryError, UnknownNameError)
+                          InvalidStateError, QmathError, RegistryError,
+                          UnknownNameError)
 
 
 def embed_oracle(op: np.ndarray, wires: tuple[int, ...], width: int) -> np.ndarray:
@@ -298,6 +300,19 @@ def test_family_equality_and_hash():
     assert a == b and hash(a) == hash(b)
     assert a != Q.std_gate("Z")
     assert a != Q.scaled_family(a, -1)
+    sm = Q.std_gate("SM")
+    assert sm == Q.std_gate("SM") and sm != Q.std_gate("PM")
+    assert sm != Q.MeasurementFamily("SM", 1, tuple(reversed(sm.outcomes)))
+
+
+def test_outcome_equality_and_hash():
+    x = Q.std_gate("X").outcomes[0]
+    same = Q.std_gate("X").outcomes[0]
+    assert x is not same and x == same and hash(x) == hash(same)
+    assert x != Q.std_gate("Z").outcomes[0]
+    assert x != Q.Outcome(1, x.operator)
+    assert x != Q.Outcome(0, np.eye(4)) and x != "X"
+    assert len({x, same, Q.std_gate("Z").outcomes[0]}) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +360,52 @@ def test_apply_operator_matches_oracle():
             for applied in (op, st):  # the dense path is the reference
                 got = Q.apply_operator(s.amplitudes, applied, wires, width)
                 assert np.abs(got - want).max() < 1e-12, (width, wires, op)
+                assert_kernel_paths_agree(s.amplitudes, applied, wires, width)
+    # every wire order up to width 4, for these operators and the library's
+    library = library_families()
+    for width in (1, 2, 3, 4):
+        s = random_state(rng, width)
+        for k in range(1, min(3, width) + 1):
+            ops = [op.astype(complex) for _kind, op in structured_operators(rng, 2**k)]
+            ops += [oc.operator for f in library if f.arity == k for oc in f.outcomes]
+            for op in ops:
+                st = Q.structure(op)
+                for wires in itertools.permutations(range(1, width + 1), k):
+                    for applied in (op, st):
+                        assert_kernel_paths_agree(s.amplitudes, applied, wires, width)
+
+
+def assert_kernel_paths_agree(amps, op, wires, width):
+    """Writing into a buffer, and in place for a diagonal, gives the
+    bytes of the allocating path, which leaves ``amps`` unchanged."""
+    before = amps.tobytes()
+    want = Q.apply_operator(amps, op, wires, width).tobytes()
+    assert amps.tobytes() == before
+    buf = np.full(amps.shape, np.nan, dtype=complex)
+    assert Q.apply_operator(amps, op, wires, width, buf) is buf
+    assert buf.tobytes() == want, (wires, op)
+    own = amps.copy()
+    if isinstance(op, Q.Structure) and op.diagonal:
+        assert Q.apply_operator(own, op, wires, width, own) is own
+        assert own.tobytes() == want, (wires, op)
+    else:
+        with pytest.raises(QmathError, match="in place"):
+            Q.apply_operator(own, op, wires, width, own)
+
+
+def library_families() -> list:
+    """Every library gate and measurement at small parameters, the
+    controlled forms the c prefix makes and the phase-scaled forms a
+    phase prefix makes."""
+    reg = Q.Registry()
+    fams = [Q.std_gate(name) for name in ("I", "H", "X", "Y", "Z", "SWAP", "CNOT", "SM", "PM")]
+    fams += [Q.std_gate(name, (n,)) for name in ("R", "QFT", "QFTdg", "reflect0")
+             for n in (1, 2, 3)]
+    fams += [Q.std_gate("mark", (n, m)) for n in (1, 2) for m in range(2**n)]
+    fams += [reg.family(name, params) for name, params in
+             (("cR", (2,)), ("cR", (3,)), ("cH", ()), ("cZ", ()), ("ccX", ()))]
+    return fams + [Q.scaled_family(f, phase) for f in fams if f.is_unitary
+                   for phase in (-1, 1j)]
 
 
 def test_apply_unitary_preserves_norm():

@@ -112,6 +112,38 @@ def test_run_is_deterministic(tele_registry):
     assert a.probability == b.probability
 
 
+def test_walk_hands_out_frozen_states_of_their_own(monkeypatch, tele_registry):
+    # The walk writes gates in place and recycles dead arrays, so every
+    # state it returns must be frozen and share memory with no other.
+    prep = S.prepare(ground("ket 101 on 1, 2, 3; H(1); cR_2(2, 1); Z(3); "
+                            "CNOT(3, 2); p := SM(2); if p = 1 then X(1)"))
+    runs = [S.run(prep, seed=seed) for seed in (0, 1, 0, 1)]
+    assert runs[0].state.amplitudes.tobytes() == runs[2].state.amplitudes.tobytes()
+    assert runs[1].state.amplitudes.tobytes() == runs[3].state.amplitudes.tobytes()
+    states = [r.state.amplitudes for r in runs]
+    states += [b.state.amplitudes for b in S.enumerate_branches(
+        corpus_program("teleport"), registry=tele_registry).branches]
+    states += [b.state.amplitudes for b in S.enumerate_branches(
+        corpus_program("cnot_mb"), bindings={"c": 1, "t": 0}).branches]
+    leaves = []
+    walk = S._walk
+
+    def spy(*args):
+        for item in walk(*args):
+            if not isinstance(item, float):
+                leaves.append(item[0].amplitudes)
+            yield item
+
+    monkeypatch.setattr(S, "_walk", spy)
+    u = S.program_unitary(corpus_program("qft"), bindings={"n": 3})
+    assert np.array_equal(u, np.stack(leaves, axis=1))
+    states += leaves
+    assert len(states) == 4 + 4 + 8 + 8
+    for i, a in enumerate(states):
+        assert not a.flags.writeable
+        assert not any(np.shares_memory(a, b) for b in states[i + 1:])
+
+
 def test_operators_are_classified_once_when_first_applied(monkeypatch):
     classified = []
     classify = Q.structure
@@ -498,7 +530,8 @@ def test_emit_json_renders_pair_arrays_like_nested_lists():
     rng = np.random.default_rng(17)
     special = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e22,
                1.0, -1.0, 1 / 3, np.finfo(float).max, -np.finfo(float).max]
-    for m in (1, 2, 5, 37, 300):
+    chunk = S.EMIT_CHUNK_ROWS
+    for m in (1, 2, 5, 37, 300, chunk - 1, chunk, chunk + 1, 3 * chunk + 7):
         arr = rng.normal(size=(m, 2)) * 10.0 ** rng.integers(-20, 20, size=(m, 2))
         picks = rng.integers(0, len(special), size=m)
         arr[:, rng.integers(0, 2)] = np.array(special)[picks]
