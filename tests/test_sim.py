@@ -540,13 +540,25 @@ def test_emit_json_renders_pair_arrays_like_nested_lists():
         doc = {"state": {"width": 1, "amplitudes": arr}}
         assert S.emit_json(doc) == S.emit_json({"state": {"width": 1,
                                                           "amplitudes": arr.tolist()}})
+    # A list holding pair arrays lays them out as it lays out nested lists.
+    short = np.array([[0.5, -0.25]])
+    assert S.emit_json([short]) == S.emit_json([short.tolist()]) \
+        == "[\n  [\n    [0.5, -0.25]\n  ]\n]"
+    long = rng.normal(size=(chunk + 3, 2))
+    for held in ([short, long, 3, short], (long, "x"), [[long, short]]):
+        as_lists = json.loads(json.dumps(held, default=np.ndarray.tolist))
+        for indent in (0, 3):
+            assert S.emit_json(held, indent) == S.emit_json(as_lists, indent)
     empty = np.zeros((0, 2))
     assert S.emit_json(empty) == S.emit_json([]) == "[]"
+    assert S.emit_json([empty, 1]) == S.emit_json([[], 1])
     for bad in (np.nan, np.inf, -np.inf):
         arr = np.zeros((4, 2))
         arr[2, 1] = bad
         with pytest.raises(SimulationError, match="non-finite"):
             S.emit_json(arr)
+    with pytest.raises(SimulationError, match="non-finite"):  # past the double range
+        S.emit_json(np.array([[np.longdouble("1e400"), 0.0]], dtype=np.longdouble))
     with pytest.raises(SimulationError, match="ndarray"):
         S.emit_json(np.zeros((2, 3)))
 
