@@ -569,20 +569,10 @@ def program_unitary(program: ast.Program, bindings: dict | None = None,
 # that of the same rows as nested lists, since a pair of '%.17g' floats
 # always fits the one-line limit.
 #
-# A block is formatted by numpy, not by one '%.17g' call per float (past
-# 14 digits each of those takes CPython's bignum route).  |x| is scaled
-# by 10**(16 - X), X = floor(log10 |x|), in double-double arithmetic
-# from a table of 10**k as hi + lo (relative error below 2**-100), and
-# rounded half-even to the 17-digit integer N.  A value whose rounding
-# the arithmetic cannot settle (the scaled fraction within 2**-40 of
-# one half, unless the power of ten is exact and the tie is too), whose
-# scaled integer part is not 17 digits (X misjudged near a power of
-# ten), or whose 10**(16 - X) is outside the table is formatted by
-# '%.17g' instead.  Each number is laid out in 9 uint32 words of text,
-# NUL where a character is absent (a positive sign, a stripped trailing
-# zero, the exponent of a fixed-form number), and followed by the
-# punctuation up to the next number; the block's text is its words with
-# every NUL dropped.
+# A block is formatted by numpy (floatfmt.format_floats), not by one
+# '%.17g' call per float; the few values it cannot settle are formatted
+# by '%.17g' here.  floatfmt is imported on the first block, so a process
+# that emits no pair array does not load it.
 # ---------------------------------------------------------------------------
 
 EMIT_CHUNK_ROWS = 1024
@@ -676,190 +666,40 @@ def _format_block(block: list, arrays: list, texts: list) -> None:
     """Append to ``texts`` the text of each segment (array number, first
     row, stop row) of ``block``: its first row's lead, and its rows
     joined by ",\n"."""
+    from . import floatfmt
+
+    width = floatfmt.NUM_WORDS
     rows = sum(stop - start for _, start, stop in block)
-    # Each number is _NUM_WORDS words and a tail: ", " after the real
+    # Each number is `width` words and a tail: ", " after the real
     # part, and after the imaginary part "]" and the next row's ",\n",
     # indent and "[".  A segment's last row ends in "]\x01" instead, so
     # that the block's text splits into its segments at "\x01" (and the
     # text of a block of one segment is not copied again), and the
     # block's last row in "]".
     tail = -(-(max(len(arrays[i][2]) for i, _, _ in block) + 4) // 4)
-    words = np.empty((rows, 2, _NUM_WORDS + tail), np.uint32)
-    words[:, 0, _NUM_WORDS:] = _as_words(", ", tail)
-    split = _as_words("]\x01", tail)
+    words = np.empty((rows, 2, width + tail), np.uint32)
+    words[:, 0, width:] = floatfmt.as_words(", ", tail)
+    split = floatfmt.as_words("]\x01", tail)
     row = 0
     for i, start, stop in block:
-        words[row:row + stop - start, 1, _NUM_WORDS:] = _as_words("],\n" + arrays[i][2] + "[",
-                                                                  tail)
+        words[row:row + stop - start, 1, width:] = floatfmt.as_words(
+            "],\n" + arrays[i][2] + "[", tail)
         row += stop - start
-        words[row - 1, 1, _NUM_WORDS:] = split
-    words[-1, 1, _NUM_WORDS:] = _as_words("]", tail)
-    values = np.concatenate([arrays[i][1][start:stop] for i, start, stop in block])
+        words[row - 1, 1, width:] = split
+    words[-1, 1, width:] = floatfmt.as_words("]", tail)
+    values = np.concatenate([arrays[i][1][start:stop] for i, start, stop in block]).ravel()
     words = words.reshape(2 * rows, -1)
-    _format_floats(values.ravel(), words)
+    chars = words[:, :width].view(np.uint8)
+    for i in floatfmt.format_floats(values, words).tolist():
+        s = _fmt_float(float(values[i])).encode("ascii")
+        chars[i] = 0
+        chars[i, :len(s)] = np.frombuffer(s, np.uint8)
     data = words.tobytes()
-    del words  # each copy of the block is freed before the next one is made
+    del words, chars  # each copy of the block is freed before the next one is made
     text = data.translate(None, b"\0").decode("ascii")
     del data
     for (i, start, _), segment in zip(block, text.split("\x01")):
         texts[i] += [(",\n" if start else "") + arrays[i][2] + "[", segment]
-
-
-def _as_words(text: str, count: int) -> np.ndarray:
-    """``text`` in ``count`` uint32 words, NUL-padded."""
-    return np.frombuffer(text.encode("ascii").ljust(4 * count, b"\0"), np.uint32)
-
-
-def _words_table(texts) -> np.ndarray:
-    """One uint32 word per text of at most 4 bytes, NUL-padded."""
-    return np.frombuffer(b"".join(t.ljust(4, b"\0") for t in texts), np.uint32)
-
-
-def _pow10_table(kmin: int, kmax: int):
-    """10**k as (hi + lo) * 2**s for k = kmin..kmax: hi is 10**k / 2**s
-    rounded to a double in [0.5, 2), lo the rest rounded to a double, and
-    the relative error below 2**-118; lo is 0 where 10**k is a double.
-    s is int32, which np.ldexp takes without a slow conversion."""
-    his, los, exps = [], [], []
-    for k in range(kmin, kmax + 1):
-        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
-        s = num.bit_length() - den.bit_length()
-        shift = 120 - s
-        t = (num << shift) // den if shift >= 0 else num >> -shift  # 10**k * 2**shift
-        hi = t / (1 << 120)
-        a, b = hi.as_integer_ratio()
-        his.append(hi)
-        los.append((t - (a << 120) // b) / (1 << 120))
-        exps.append(s)
-    return np.array(his), np.array(los), np.array(exps, dtype=np.int32)
-
-
-# 10**(16 - X) for every X of a finite double: X = -324 .. 308.
-_K_MIN, _K_MAX = -292, 340
-_POW10_HI, _POW10_LO, _POW10_EXP = _pow10_table(_K_MIN, _K_MAX)
-_SPLIT = 2.0**27 + 1  # Veltkamp's split: a double as the sum of two 26-bit halves
-_c = _SPLIT * _POW10_HI
-_POW10_HI_HEAD = _c - (_c - _POW10_HI)
-_POW10_HI_TAIL = _POW10_HI - _POW10_HI_HEAD
-del _c
-_TIE_SLACK = 2.0**-40
-_NUM_WORDS = 9
-
-# The words of a number: sign and "0.000" lead (2), first digit and its
-# point (1), digits 2-17 (4) and exponent (2).
-_d = [b"%02d" % i for i in range(100)]
-_z = np.frombuffer(b"".join(t.rstrip(b"0").ljust(2, b"\0") for t in _d), np.uint8).reshape(100, 2)
-_d = np.frombuffer(b"".join(_d), np.uint8).reshape(100, 2)
-# Four digits as [stripped, first pair, second pair]: the stripped half
-# (entries 10000 on) has its trailing zeros as NUL.
-_DIGITS4 = np.empty((2, 100, 100, 4), np.uint8)
-_DIGITS4[:, :, :, :2] = _d[:, None]
-_DIGITS4[0, :, :, 2:] = _d
-_DIGITS4[1, :, :, 2:] = _z
-_DIGITS4[1, :, 0, :2] = _z
-_DIGITS4 = _DIGITS4.view(np.uint32).ravel()
-del _d, _z
-_FIRST = _words_table([b"%d%s" % (d, p) for d in range(10) for p in (b"", b".")])
-_lead = [s + z for s in (b"", b"-") for z in (b"", b"0.", b"0.0", b"0.00", b"0.000")]
-_SIGN_LEAD = (_words_table([t[:4] for t in _lead]), _words_table([t[4:] for t in _lead]))
-_exp = [b"" if -5 < x < 17 else b"e%+03d" % x for x in range(-330, 330)]
-_EXPONENT = (_words_table([t[:4] for t in _exp]), _words_table([t[4:] for t in _exp]))
-del _lead, _exp
-
-
-def _decimal17(v: np.ndarray):
-    """For each finite double of ``v``: the integer N of its 17 '%.17g'
-    digits (0 for zero), its decimal exponent X, and whether the scaled
-    arithmetic settled both (where it did not, N is 0)."""
-    with np.errstate(all="ignore"):
-        a = np.abs(v)
-        zero = a == 0
-        X = np.log10(a)
-        np.floor(X, out=X)
-        X[zero] = 0
-        X = X.astype(np.intp)
-        f, e = np.frexp(a)
-        del a
-        k = 16 - _K_MIN - X
-        ok = (k >= 0) & (k <= _K_MAX - _K_MIN)
-        k[~ok] = 16 - _K_MIN
-        # y = f * (hi + lo) * 2**s as yh + yl: f * hi exactly (Dekker's
-        # product of Veltkamp halves), plus f * lo.
-        lo = _POW10_LO[k]
-        yh = f * _POW10_HI[k]
-        fh = _SPLIT * f
-        fh -= fh - f
-        ft = f - fh
-        yl = fh * _POW10_HI_HEAD[k]
-        yl -= yh
-        yl += fh * _POW10_HI_TAIL[k]
-        yl += ft * _POW10_HI_HEAD[k]
-        yl += ft * _POW10_HI_TAIL[k]
-        yl += f * lo
-        del f, fh, ft
-        ph = yh
-        yh = ph + yl
-        yl -= yh - ph
-        scale = np.ldexp(1.0, e + _POW10_EXP[k])  # exact, as y is near 10**16
-        yh *= scale
-        yl *= scale
-        floor = np.floor(yl)
-        frac = yl - floor
-        N = yh.astype(np.int64)
-        N += floor.astype(np.int64)
-        # 17 digits before rounding, and no carry into an 18th from it.
-        ok &= (N >= 10**16) & (N < 10**17 - 1)
-        tie = frac == 0.5
-        ok &= (np.abs(frac - 0.5) > _TIE_SLACK) | (tie & (lo == 0))
-        N += (frac > 0.5) | (tie & (N & 1).astype(bool))
-    N[~ok] = 0
-    ok |= zero
-    return N, X, ok
-
-
-def _format_floats(v: np.ndarray, out: np.ndarray) -> None:
-    """Write the '%.17g' text of each finite double of ``v`` into the
-    uint32 words ``out[:, :_NUM_WORDS]``, NUL where no character is."""
-    N, X, ok = _decimal17(v)
-    high = N // 10**8
-    low = N - high * 10**8
-    first = high // 10**8
-    high -= first * 10**8
-    groups = []
-    for x in (high, low):
-        g = x // 10**4
-        groups += [g, x - g * 10**4]
-    strip = np.full(v.shape, 10000)  # while every later group is 0
-    for j in (3, 2, 1, 0):
-        out[:, 3 + j] = _DIGITS4[groups[j] + strip]
-        strip *= groups[j] == 0
-    fixed = (X > -5) & (X < 17)
-    lead = fixed & (X < 0)
-    sign_lead = np.signbit(v) * 5 + np.where(lead, -X, 0)
-    out[:, 0] = _SIGN_LEAD[0][sign_lead]
-    out[:, 1] = _SIGN_LEAD[1][sign_lead]
-    out[:, 2] = _FIRST[2 * first + ((strip == 0) & ~lead)]
-    out[:, 7] = _EXPONENT[0][X + 330]
-    out[:, 8] = _EXPONENT[1][X + 330]
-    wide = fixed & (X > 0)
-    if ok.all() and not wide.any():
-        return
-    text = out[:, :_NUM_WORDS].view(np.uint8)
-    # Fixed form with X > 0: the point follows digit X + 1, and the
-    # integer digits keep their zeros.
-    for x in np.unique(X[wide]).tolist():
-        rows = wide & (X == x)
-        t = text[rows]
-        digits = np.concatenate([t[:, 8:9], t[:, 12:28]], axis=1)
-        t[:, 8:9 + x] = digits[:, :x + 1] | ord("0")
-        t[:, 9 + x] = (digits[:, x + 1] != 0) * ord(".") if x < 16 else 0
-        t[:, 10 + x:26] = digits[:, x + 1:]
-        t[:, 26:28] = 0
-        text[rows] = t
-    for i in np.flatnonzero(~ok).tolist():
-        s = _fmt_float(float(v[i])).encode("ascii")
-        text[i] = 0
-        text[i, :len(s)] = np.frombuffer(s, np.uint8)
 
 
 def _scalar_json(obj) -> str:

@@ -1,8 +1,8 @@
 """The vectorized '%.17g' formatter behind ``sim.emit_json``.
 
 The rows of every pair array (a (rows, 2) float array, such as a state's
-amplitudes) are formatted by numpy, with a '%.17g' fallback for each value
-whose rounding the scaled arithmetic cannot settle.  These tests compare
+amplitudes) are formatted by numpy (qcasm.floatfmt), with a '%.17g'
+fallback for each value the numpy path cannot settle.  These tests compare
 the text with '%.17g' element for element: on arbitrary doubles, on a
 seeded batch, and on the cases that stress the fast path (powers of ten
 and their neighbours, exact ties, the switches between fixed and exponent
@@ -76,6 +76,9 @@ def test_formatter_matches_percent_g_on_edge_values(monkeypatch):
     # The fallback is reached: 1e23 is the double just below 10**23, whose
     # log10 rounds up, so its scaled integer part has 16 digits.
     assert fallbacks(monkeypatch, lambda: formatted([1e23])) == 1
+    # So are an exact tie at 17 digits and a fixed form with two integer
+    # digits.
+    assert fallbacks(monkeypatch, lambda: formatted([2.0**-25, 12.5])) == 2
     assert fallbacks(monkeypatch, lambda: formatted(v)) > 0
 
 
