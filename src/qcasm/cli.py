@@ -17,6 +17,7 @@ seed produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -27,6 +28,7 @@ from .parser import parse
 from .qmath import Registry, load_registry
 
 
+@functools.cache  # built once per process: main() only reads it
 def _build_argparser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="qcasm",

@@ -7,10 +7,11 @@ Firing a gate (``fire``) evaluates its guards against the classical
 store, selects a measurement family and applies each of its outcome
 operators once.  One depth-first walk of the outcome tree then follows
 one sampled outcome (``run``), every outcome above the floor
-(``enumerate_branches``) or the only one (``program_unitary``).  After
-the last gate the classical rules of the program run: sequential parts
-apply in order, parallel parts all read the same snapshot and their
-writes must agree.
+(``enumerate_branches``) or the only one (``program_unitary``, which
+walks the basis columns in 4 to 8 blocks, each block's columns indexed
+by extra trailing wires of one state).  After the last gate the
+classical rules of the program run: sequential parts apply in order,
+parallel parts all read the same snapshot and their writes must agree.
 
 Sampling draws one uniform variate per gate from ``random.Random(seed)``
 (a fixed, platform-independent generator) and inverts the outcome CDF in
@@ -535,13 +536,23 @@ def check_schedule_independence(program: ast.Program | PreparedProgram,
     return len(schedules)
 
 
-def program_unitary(program: ast.Program, bindings: dict | None = None,
+def program_unitary(program: ast.Program | PreparedProgram, bindings: dict | None = None,
                     registry: Registry | None = None) -> np.ndarray:
     """The composite operator of a measurement-free program, as a dense
     matrix over all 2**width basis states (width at most 12).  The input
     declaration is ignored; guards are evaluated against the outcomes of
-    earlier (necessarily single-outcome) gates."""
-    prep = prepare(program, bindings, registry)
+    earlier (necessarily single-outcome) gates.
+
+    Columns are computed in blocks of 2**b, b the largest even number at
+    most width - 2 (so 4 or 8 blocks; one column per block below width
+    4).  The block starting at column s is one walk of the state
+    sum_j 2**(-b/2) |s+j>|j> on width + b wires: the gates act on wires
+    1..width and the b trailing wires index the column.  Both scale
+    factors are powers of two, so each column gets the floats of its
+    own walk (but for the last bit of a dense operator on several wires,
+    which BLAS may block differently over the wider operand), and a
+    walk's states are at most a quarter of the matrix."""
+    prep = _prepared(program, bindings, registry, None)
     width = prep.circuit.width
     if width > UNITARY_MAX_WIDTH:
         raise SimulationError(
@@ -554,8 +565,20 @@ def program_unitary(program: ast.Program, bindings: dict | None = None,
                 f"{len(outs)} outcomes); the program has no composite operator")
         return outs
 
-    return np.stack([next(_walk(prep, make_state(format(j, f"0{width}b"), width), only))[0]
-                     .amplitudes for j in range(2**width)], axis=1)
+    b = max(0, (width - 2) // 2 * 2)
+    dim, cols = 2**width, 2**b
+    diag = np.arange(cols)
+    out = np.empty((dim, dim), np.complex128)
+    for s in range(0, dim, cols):
+        block = np.zeros((dim, cols), np.complex128)
+        block[s + diag, diag] = 2.0 ** -(b // 2)
+        leaf = next(_walk(prep, QuantumState._unchecked(width + b, block.reshape(-1)), only))
+        # scaled as (re, im) floats: a complex product would drop the
+        # sign of a zero imaginary part
+        np.multiply(leaf[0].amplitudes.view(np.float64).reshape(dim, 2 * cols),
+                    2.0 ** (b // 2), out=out.view(np.float64)[:, 2 * s:2 * (s + cols)])
+        block = leaf = None  # free the last walk's states before the next block
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from qcasm import qmath, sim
+from qcasm import cli, qmath, sim
 from qcasm.cli import main
 
 from conftest import FIXTURES, PROGRAMS
@@ -121,6 +121,31 @@ def test_stdin_program(capsys, monkeypatch):
     code, out, _ = run_cli("check", "-", capsys=capsys)
     assert code == 0
     assert out == "ok: 2 gates on 1 wires\n"
+
+
+def test_calls_in_one_process_share_the_parser_not_its_values(monkeypatch, capsys):
+    # The parser is built once per process; the --param and --registry
+    # lists that one call appends to must not leak into the next.
+    assert cli._build_argparser() is cli._build_argparser()
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, "check",
+                        lambda args: seen.append((args.param, args.registry)) or 0)
+    assert main(["check", QFT, "--param", "n=4", "--registry", "a.json"]) == 0
+    assert main(["check", QFT, "--param", "n=5", "--param", "m=1",
+                 "--registry", "b.json", "--registry", "c.json"]) == 0
+    assert main(["check", QFT]) == 0
+    assert seen == [(["n=4"], ["a.json"]), (["n=5", "m=1"], ["b.json", "c.json"]), ([], [])]
+    monkeypatch.undo()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--no-such-flag", TELEPORT])
+    assert exit_info.value.code == 2
+    assert run_cli("check", QFT, "--param", "n", capsys=capsys)[0] == 2
+    code, out, err = run_cli("enumerate", PHASE_EST, "--param", "n=2", "--param", "m=1",
+                             "--registry", PE_REG, "--no-states", capsys=capsys)
+    assert code == 0 and err == ""
+    assert json.loads(out)["branches"]
+    assert run_cli("check", QFT, "--param", "n=4", capsys=capsys)[1] == \
+        "ok: 12 gates on 4 wires\n"
 
 
 # ---------------------------------------------------------------------------

@@ -491,6 +491,16 @@ def test_program_unitary_uses_guard_store():
     assert np.abs(got - oracle).max() < 1e-12
 
 
+def test_program_unitary_of_a_prepared_program():
+    prep = S.prepare(corpus_program("qft"), {"n": 3})
+    got = S.program_unitary(prep)
+    assert got.tobytes() == S.program_unitary(corpus_program("qft"), {"n": 3}).tobytes()
+    with pytest.raises(SimulationError, match="prepared program takes no bindings"):
+        S.program_unitary(prep, bindings={"n": 3})
+    with pytest.raises(SimulationError, match="prepared program takes no bindings"):
+        S.program_unitary(prep, registry=Q.Registry())
+
+
 def test_program_unitary_rejects_measurements():
     with pytest.raises(SimulationError, match="composite"):
         S.program_unitary(ground("p := SM(1)"))
