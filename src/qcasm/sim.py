@@ -3,10 +3,11 @@
 A prepared program pairs the lowered circuit with a schedule; each
 execution builds the declared input state afresh.  Execution walks the
 schedule bout by bout; inside a bout gates fire in ascending id order.
-Firing a gate (``fire``) evaluates its guards against the classical
-store, selects a measurement family and applies each of its outcome
-operators once.  One depth-first walk of the outcome tree then follows
-one sampled outcome (``run``), every outcome above the floor
+Firing a gate evaluates its guards against the classical store,
+selects a measurement family and applies each of its outcome operators
+once.  One depth-first walk of the outcome tree (``_walk``) then follows
+one sampled outcome (``run``), the outcomes that a chunk of shots draws
+(``sample_distribution``), every outcome above the floor
 (``enumerate_branches``) or the only one (``program_unitary``, which
 walks the basis columns in 4 to 8 blocks, each block's columns indexed
 by extra trailing wires of one state).  After the last gate the
@@ -21,10 +22,10 @@ reports the pruned mass alongside the surviving branches.
 """
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import random
-import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -33,13 +34,12 @@ from . import ast
 from . import circuit as circuit_mod
 from .circuit import Gate, GeneralizedCircuit, Gid, Schedule
 from .errors import ImpossibleBranchError, SimulationError
-from .qmath import (ATOL, PRUNE_EPS, MAX_WIDTH, MeasurementFamily, OutcomeVector,
-                    QuantumState, Registry, collapse, make_state, outcome_vectors,
-                    outcome_vectors_into, post_state, post_vector)
+from .qmath import (ATOL, PRUNE_EPS, MAX_WIDTH, MeasurementFamily, QuantumState, Registry,
+                    make_state, outcome_vectors_into, post_vector)
 
 DEFAULT_MAX_BRANCHES = 2**20
 UNITARY_MAX_WIDTH = 12
-SAMPLE_CACHE_BYTES = 64 * 2**20  # states kept by the sample_distribution trie
+SAMPLE_CHUNK_DRAWS = 2**16  # uniform draws held at once by sample_distribution
 
 
 @dataclass(frozen=True)
@@ -200,30 +200,38 @@ def _family(gate: Gate, store) -> MeasurementFamily:
                 gate.families[-1])
 
 
-def fire(state: QuantumState, gate: Gate,
-         store) -> tuple[MeasurementFamily, tuple[OutcomeVector, ...]]:
-    """Fire ``gate`` on ``state``: select its family and compute A_i |s>
-    once per outcome.  Only the outcomes taken are normalized into a
-    state (``qmath.post_state``)."""
-    fam = _family(gate, store)
-    return fam, outcome_vectors(state, fam, gate.wires)
+def _cdf(outcomes) -> tuple[list[float], list[int]]:
+    """The table that inverts the outcome CDF over (label, probability,
+    ...) entries in label order: the cumulative masses, summed left to
+    right, and for each position the last label of probability above
+    PRUNE_EPS at or before it (the first such label where none precedes).
+    So a label of probability <= PRUNE_EPS is never chosen: u in its
+    mass goes to the previous positive label, or the next if none
+    precedes."""
+    chosen = next((i for i, entry in enumerate(outcomes) if entry[1] > PRUNE_EPS), None)
+    if chosen is None:
+        raise ImpossibleBranchError("every outcome of the family has zero probability")
+    cum, last = [], []
+    total = 0.0
+    for i, entry in enumerate(outcomes):
+        total += entry[1]
+        if entry[1] > PRUNE_EPS:
+            chosen = i
+        cum.append(total)
+        last.append(chosen)
+    return cum, last
 
 
 def _pick(outcomes, u: float):
-    """Invert the outcome CDF at u over (label, probability, ...) entries.
-    A label of probability <= PRUNE_EPS is never chosen: u in its mass
-    goes to the previous positive label, or the next if none precedes."""
-    cum = 0.0
-    chosen = None
-    for entry in outcomes:
-        cum += entry[1]
-        if entry[1] > PRUNE_EPS:
-            chosen = entry
-        if u < cum and chosen is not None:
-            return chosen
-    if chosen is None:
-        raise ImpossibleBranchError("every outcome of the family has zero probability")
-    return chosen
+    """The entry of ``outcomes`` that u picks, by the ``_cdf`` table."""
+    cum, last = _cdf(outcomes)
+    return outcomes[last[min(bisect.bisect_right(cum, u), len(cum) - 1)]]
+
+
+def _pick_all(cdf: tuple[list[float], list[int]], us: np.ndarray) -> np.ndarray:
+    """The position that ``_pick`` takes for each u in ``us``."""
+    cum, last = cdf
+    return np.asarray(last)[np.minimum(np.searchsorted(cum, us, side="right"), len(cum) - 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -285,13 +293,15 @@ def _scratch(spare: np.ndarray | None, size: int) -> np.ndarray:
     return np.empty(size, np.complex128) if spare is None else spare
 
 
-def _walk(prep: PreparedProgram, state: QuantumState, follow):
+def _walk(prep: PreparedProgram, state: QuantumState, follow, slot=None):
     """Walk the outcome tree from ``state`` depth first on an explicit
-    stack.  At each gate ``follow(gate, family, outcomes, probability)``
-    returns, in label order, each outcome to follow or the path mass (a
-    float) of one cut off.  Yields cut masses and leaves (state, store,
-    probability, path) in visiting order; a path is the linked tuple
-    (path, step, gate, family name, label), ending in None.
+    stack.  At each gate ``follow(gate, family, outcomes, probability,
+    slot)`` returns, in label order, each outcome to follow paired with
+    the slot of its child, or the path mass (a float) of one cut off.  A
+    slot is opaque to the walk: the root has ``slot``, and the sampler
+    keeps a node's shots there.  Yields cut masses and leaves (state,
+    store, probability, path, slot) in visiting order; a path is the
+    linked tuple (path, step, gate, family name, label), ending in None.
 
     The caller builds ``state`` for the walk and hands it over.  Each
     stack entry owns its amplitude array: a single-outcome diagonal
@@ -310,32 +320,36 @@ def _walk(prep: PreparedProgram, state: QuantumState, follow):
         buf, spare = _scratch(spare, 2**width), None
         return buf
 
-    stack: list = [(0, amps, {}, 1.0, None)]
+    stack: list = [(0, amps, {}, 1.0, None, slot)]
     while stack:
         node = stack.pop()
         if isinstance(node, float):
             yield node
             continue
-        k, amps, store, prob, path = node
+        k, amps, store, prob, path, slot = node
         if k == len(firing):
-            yield QuantumState._unchecked(width, amps), store, prob, path
+            yield QuantumState._unchecked(width, amps), store, prob, path, slot
             continue
         step, gate = firing[k]
         fam = _family(gate, store)
         outs = outcome_vectors_into(amps, width, fam, gate.wires, scratch)
         if outs[0].vector is not amps:
             spare = amps
-        for out in reversed(follow(gate, fam, outs, prob)):
-            stack.append(out if isinstance(out, float) else (
-                k + 1, post_vector(fam, out),
-                store if gate.out is None else {**store, gate.out: out.label},
-                prob * out.probability, (path, step, gate, fam.name, out.label)))
+        for out in reversed(follow(gate, fam, outs, prob, slot)):
+            if isinstance(out, float):
+                stack.append(out)
+                continue
+            out, sub = out
+            stack.append((k + 1, post_vector(fam, out),
+                          store if gate.out is None else {**store, gate.out: out.label},
+                          prob * out.probability, (path, step, gate, fam.name, out.label),
+                          sub))
         outs = out = None  # drop the outcome vectors before the next gate fires
 
 
 def _branch(prep: PreparedProgram, leaf) -> Branch:
     """A leaf of ``_walk`` with its outcomes, trace and classical pass."""
-    state, store, prob, path = leaf
+    state, store, prob, path, _slot = leaf
     outcomes, trace = [], []
     while path is not None:
         path, step, gate, name, label = path
@@ -351,8 +365,11 @@ def run(program: ast.Program | PreparedProgram, seed: int = 0,
     """One seeded sampling run."""
     prep = _prepared(program, bindings, registry, schedule)
     draw = random.Random(seed).random
-    b = _branch(prep, next(_walk(prep, prep.input_state(),
-                                 lambda gate, fam, outs, prob: [_pick(outs, draw())])))
+
+    def follow(gate, fam, outs, prob, slot):
+        return [(_pick(outs, draw()), None)]
+
+    b = _branch(prep, next(_walk(prep, prep.input_state(), follow)))
     return RunResult(b.state, b.store, b.outcomes, b.trace, min(b.probability, 1.0),
                      prep.schedule)
 
@@ -376,10 +393,10 @@ def _enumerate(prep: PreparedProgram, min_prob: float = 0.0,
                max_branches: int = DEFAULT_MAX_BRANCHES) -> Enumeration:
     floor = max(min_prob, 0.0)
 
-    def follow(gate, fam, outs, prob):
+    def follow(gate, fam, outs, prob, slot):
         return [prob * out.probability
                 if out.probability <= PRUNE_EPS or prob * out.probability < floor
-                else out for out in outs]
+                else (out, None) for out in outs]
 
     branches: list[Branch] = []
     pruned = 0.0  # summed in visiting order, which fixes its last bits
@@ -395,106 +412,77 @@ def _enumerate(prep: PreparedProgram, min_prob: float = 0.0,
     return Enumeration(tuple(branches), pruned)
 
 
-@dataclass(eq=False)
-class _Node:
-    """A sampler-trie node: an outcome prefix and the gate fired after it.
-    The prefix is the linked path of (gid, label) pairs up to the root."""
-    parent: weakref.ref | None         # weak: a finished trie has no cycles to collect
-    gid: Gid | None                    # the gate whose outcome ``label`` is
-    label: int | None
-    store: dict
-    key: tuple | None = None           # at a leaf, the sorted (gid, label) outcomes
-    state: QuantumState | None = None  # the pre-gate state, while cached
-    fired: tuple | None = None         # (gate, family, (label, probability) per outcome)
-    missing: int = 0                   # positive-probability children not yet built
-    children: dict = field(default_factory=dict)
-    jump: tuple | None = None          # (gates crossed, node) past a forced run
-
-
 def sample_distribution(program: ast.Program | PreparedProgram, shots: int,
                         seed: int = 0, bindings: dict | None = None,
                         registry: Registry | None = None,
                         schedule: Schedule | None = None) -> dict:
     """Outcome-assignment counts over ``shots`` runs; shot k uses seed
-    ``seed + k``, so a single shot reproduces ``run(program, seed)``.
+    ``seed + k``, so the counts are the tally of ``run(program, seed +
+    k)`` over k, with keys in the order of their first shot.
 
-    Shots walk a trie of outcome prefixes: each new prefix costs one gate
-    firing on a cached state, a repeat shot one random draw per gate.  A
-    node keeps its state until all its positive-probability children
-    exist, within ``SAMPLE_CACHE_BYTES``; beyond that budget a state is
-    replayed, with the same floats, from its deepest cached ancestor.
-    A forced node (one outcome of positive probability, e.g. a unitary
-    gate) always takes that outcome, so once its child exists it jumps
-    past the whole run of forced nodes that follows: a later shot makes
-    the run's draws, one per gate, and moves to its end in one step."""
+    Only a gate that can measure (one of its families has two or more
+    labels) needs its draw.  Shot k's draws for those gates are taken up
+    front from ``Random(seed + k)``, and the draws of the gates between
+    them are skipped with one ``getrandbits(64 * gates)`` call.  That
+    relies on a CPython property, not a documented guarantee:
+    ``getrandbits(64 * m)`` consumes the 2m 32-bit words of the Mersenne
+    Twister that m ``random()`` calls consume (a test pins it).
+
+    The shots then go down the outcome tree together, in one ``_walk``
+    that keeps each node's shots in its slot.  A node is fired once: at
+    a node with one outcome above PRUNE_EPS every shot follows it, and
+    otherwise the shots are split by their draws with ``run``'s CDF rule
+    (``_cdf``).  The draws of at most SAMPLE_CHUNK_DRAWS // (measuring
+    gates) shots are held at once; each chunk of shots is its own walk,
+    and the counts do not depend on the chunk size."""
+    if isinstance(shots, bool) or not isinstance(shots, int) or shots < 0:
+        raise SimulationError(f"shots must be a non-negative integer, got {shots!r}")
     prep = _prepared(program, bindings, registry, schedule)
-    gates = [gate for _step, gate in prep.firing]
-    initial = prep.input_state()
-    root = _Node(None, None, None, {})
-    cached = 0
+    column: dict[Gid, int] = {}
+    skips: list[int] = []  # bits to skip before each measuring gate's draw
+    drawn = 0
+    for i, (_step, gate) in enumerate(prep.firing):
+        if any(len(f.outcomes) > 1 for f in gate.families):
+            column[gate.gid] = len(skips)
+            skips.append(64 * (i - drawn))
+            drawn = i + 1
+
+    def follow(gate, fam, outs, prob, taken):
+        _, last = cdf = _cdf(outs)
+        if last[0] == last[-1]:  # one outcome above PRUNE_EPS
+            return [(outs[last[0]], taken)]
+        picks = _pick_all(cdf, draws[taken, column[gate.gid]])
+        return [(outs[i], taken[picks == i]) for i in sorted(set(picks.tolist()))]
+
     counts: dict[tuple[tuple[Gid, int], ...], int] = {}
-
-    def replay(node: _Node) -> QuantumState:
-        path = []
-        while node.state is None and node.parent is not None:
-            path.append(node)
-            node = node.parent()
-        state = node.state or initial
-        for child in reversed(path):
-            gate, fam, _table = node.fired
-            state = collapse(state, fam, gate.wires, child.label)
-            node = child
-        return state
-
-    for k in range(shots):
-        draw = random.Random(seed + k).random
-        node, state, i = root, initial, 0
-        while i < len(gates):
-            if node.jump is not None:
-                steps, target = node.jump
-                while target.jump is not None:  # runs joined since the jump was set
-                    more, target = target.jump
-                    steps += more
-                node.jump = (steps, target)
-                for _ in range(steps):
-                    draw()
-                node, i = target, i + steps
-                continue
-            gate = gates[i]
-            outs = None
-            forced = False
-            if node.fired is None:
-                fam, outs = fire(state, gate, node.store)
-                node.fired = (gate, fam, tuple((o.label, o.probability) for o in outs))
-                node.missing = sum(o.probability > PRUNE_EPS for o in outs)
-                forced = node.missing == 1
-                if node.missing > 1 and cached + state.amplitudes.nbytes <= SAMPLE_CACHE_BYTES:
-                    node.state = state
-                    cached += state.amplitudes.nbytes
-            _gate, fam, table = node.fired
-            taken = _pick(table if outs is None else outs, draw())
-            label = taken[0]
-            child = node.children.get(label)
-            if child is None:
-                state = post_state(state, fam, taken) if outs is not None else \
-                    collapse(replay(node), fam, gate.wires, label)
-                store = node.store if gate.out is None else {**node.store, gate.out: label}
-                child = node.children[label] = _Node(weakref.ref(node), gate.gid, label, store)
-                node.missing -= 1
-                if node.missing == 0 and node.state is not None:
-                    cached -= node.state.amplitudes.nbytes
-                    node.state = None
-            if forced:
-                node.jump = (1, child)
-            node, i = child, i + 1
-        if node.key is None:
-            key, up = [], node
-            while up is not root:
-                key.append((up.gid, up.label))
-                up = up.parent()
-            node.key = tuple(sorted(key))
-        counts[node.key] = counts.get(node.key, 0) + 1
+    chunk = max(1, SAMPLE_CHUNK_DRAWS // max(1, len(skips)))
+    for first in range(0, shots, chunk):
+        size = min(chunk, shots - first)
+        draws = _draws(seed + first, size, skips)
+        leaves = []
+        for _state, _store, _prob, path, taken in _walk(prep, prep.input_state(), follow,
+                                                         np.arange(size)):
+            key = []
+            while path is not None:
+                path, _step, gate, _name, label = path
+                key.append((gate.gid, label))
+            leaves.append((int(taken[0]), tuple(sorted(key)), len(taken)))
+        for _first, key, n in sorted(leaves):
+            counts[key] = counts.get(key, 0) + n
     return counts
+
+
+def _draws(seed: int, shots: int, skips: list[int]) -> np.ndarray:
+    """The (shots, len(skips)) uniforms of the measuring gates: row k from
+    ``Random(seed + k)``, after skipping ``skips[j]`` bits before draw j."""
+    def uniforms():
+        for k in range(shots if skips else 0):
+            rng = random.Random(seed + k)
+            for bits in skips:
+                if bits:
+                    rng.getrandbits(bits)
+                yield rng.random()
+    return np.fromiter(uniforms(), np.float64, shots * len(skips)).reshape(shots, len(skips))
 
 
 def check_schedule_independence(program: ast.Program | PreparedProgram,
@@ -558,12 +546,12 @@ def program_unitary(program: ast.Program | PreparedProgram, bindings: dict | Non
         raise SimulationError(
             f"composite operator needs width <= {UNITARY_MAX_WIDTH}, got {width}")
 
-    def only(gate, fam, outs, prob):
+    def only(gate, fam, outs, prob, slot):
         if len(outs) != 1:
             raise SimulationError(
                 f"gate {gate.label} measures ({fam.name} has "
                 f"{len(outs)} outcomes); the program has no composite operator")
-        return outs
+        return [(outs[0], None)]
 
     b = max(0, (width - 2) // 2 * 2)
     dim, cols = 2**width, 2**b

@@ -210,6 +210,26 @@ def test_run_and_enumerate_match_dense_reference(case, seed):
     check_run_and_enumerate(case, seed)
 
 
+def check_sample_tallies_runs(case, seed):
+    """sample_distribution equals the tally of single runs, in the order
+    of each key's first shot, with clean and with poisoned buffers."""
+    text = case[0]
+    prep = S.prepare(parse(text))
+    tally: dict = {}
+    for k in range(12):
+        key = S.run(prep, seed=seed + k).outcomes
+        tally[key] = tally.get(key, 0) + 1
+    assert list(S.sample_distribution(prep, 12, seed).items()) == list(tally.items()), text
+    with poisoned_scratch():
+        assert list(S.sample_distribution(prep, 12, seed).items()) == list(tally.items()), text
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(programs(measure=True), st.integers(0, 2**16))
+def test_sampler_tallies_single_runs(case, seed):
+    check_sample_tallies_runs(case, seed)
+
+
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(programs(measure=False))
 def test_program_unitary_matches_dense_reference(case):

@@ -62,9 +62,10 @@ def test_long_program_samples_and_checks_schedules(measured):
 
 
 def test_sampler_memory_is_linear_in_program_length():
-    # A trie node keeps its outcome prefix as a link to its parent, and
-    # the sorted outcome key is built once per distinct leaf.  Keys built
-    # per node made the first shot through this chain peak at 64 MiB.
+    # The walk keeps each outcome prefix as a link to its parent, and the
+    # sampler builds the sorted outcome key once per leaf of the sampled
+    # tree.  Keys built per node made the first shot through this chain
+    # peak at 64 MiB.
     prep = S.prepare(parse("for i = 1 to 3999: H(1);\nb := SM(1)\n"))
     tracemalloc.start()
     try:

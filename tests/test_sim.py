@@ -7,9 +7,12 @@ most significant bit) rather than shared with the code under test.
 """
 import json
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from qcasm import ast as A
 from qcasm import circuit as C
@@ -398,6 +401,49 @@ def test_pick_never_returns_an_impossible_outcome():
         S._pick(((0, 1e-13), (1, 0.0)), 0.5)
 
 
+# Masses of one family's outcomes: zero, impossible (at most PRUNE_EPS)
+# or positive, in any order; and draws anywhere in [0, 1].
+MASSES = st.lists(st.one_of(st.just(0.0), st.floats(0.0, Q.PRUNE_EPS),
+                            st.sampled_from([0.25, 0.5, 1 / 3, 1.0]), st.floats(0.0, 1.0)),
+                  min_size=1, max_size=6)
+
+
+@given(MASSES, st.lists(st.floats(0.0, 1.0), max_size=4))
+@example([1e-13, 0.5, 0.5], [])
+@example([0.5, 0.0, 1e-13, 0.5], [])
+@example([0.25, 0.75, 1e-12], [])
+@example([0.0, 1.0, 0.0], [])
+def test_cdf_lookup_of_many_draws_matches_pick(masses, us):
+    # The sampler looks up all the draws at a node with np.searchsorted on
+    # the table that _pick bisects; besides the given draws, try each
+    # cumulative boundary, one ulp below it, 0 and the total mass.
+    entries = tuple(enumerate(masses))
+    if all(m <= Q.PRUNE_EPS for m in masses):
+        with pytest.raises(ImpossibleBranchError):
+            S._cdf(entries)
+        return
+    cdf = S._cdf(entries)
+    cum = np.array(cdf[0])
+    us = np.concatenate([us, cum, np.nextafter(cum, -np.inf), [0.0, 1.0]])
+    picks = S._pick_all(cdf, us)
+    assert picks.tolist() == [S._pick(entries, float(u))[0] for u in us]
+    assert all(masses[i] > Q.PRUNE_EPS for i in picks)
+
+
+@pytest.mark.parametrize("seed", [0, 2**40 + 3, -7])
+@pytest.mark.parametrize("m", [0, 1, 2, 97, 4000])
+def test_getrandbits_skips_the_words_of_random_calls(seed, m):
+    # sample_distribution skips the draws of m gates with one
+    # getrandbits(64 * m) call: CPython's Mersenne Twister takes one
+    # 32-bit word per 32 bits asked and two per random().
+    a, b = random.Random(seed), random.Random(seed)
+    if m:
+        a.getrandbits(64 * m)
+    for _ in range(m):
+        b.random()
+    assert a.getstate() == b.getstate()
+
+
 @pytest.mark.parametrize("name, bindings, registry", [
     ("grover", {"n": 4, "N": 16, "m": 6}, None),
     ("cnot_mb", {"c": 0, "t": 1}, None),
@@ -406,10 +452,10 @@ def test_pick_never_returns_an_impossible_outcome():
 ])
 def test_sample_distribution_tallies_single_runs(name, bindings, registry,
                                                  tele_registry, pe_registry):
-    # Shot k draws from Random(seed + k), one draw per gate, whether the
-    # sampler fires the gate, reuses a trie node or crosses a chain of
-    # single-outcome gates in one step; so the counts are exactly the
-    # tally of the individual runs.
+    # Shot k draws from Random(seed + k) as run does, one draw per gate,
+    # though the sampler reads only the draws of measuring gates and skips
+    # the others; so the counts are exactly the tally of the individual
+    # runs.
     reg = {"tele": tele_registry, "pe": pe_registry, None: None}[registry]
     prep = S.prepare(corpus_program(name), bindings, reg)
     tally: dict = {}
@@ -419,18 +465,35 @@ def test_sample_distribution_tallies_single_runs(name, bindings, registry,
     assert S.sample_distribution(prep, 300, seed=40) == tally
 
 
-@pytest.mark.parametrize("budget", [0, 256, 1024])
 @pytest.mark.parametrize("name, bindings", [("grover", {"n": 4, "N": 16, "m": 11}),
                                             ("cnot_mb", {"c": 1, "t": 0})])
-def test_sampler_state_cache_budget_does_not_change_counts(monkeypatch, name, bindings,
-                                                           budget):
-    # A budget too small for every branching node's state makes the sampler
-    # replay states from cached ancestors (or the input state), which must
-    # reproduce the cached path's counts exactly.
-    prog = corpus_program(name)
-    cached = S.sample_distribution(prog, 120, seed=4, bindings=bindings)
-    monkeypatch.setattr(S, "SAMPLE_CACHE_BYTES", budget, raising=False)
-    assert S.sample_distribution(prog, 120, seed=4, bindings=bindings) == cached
+def test_sampler_chunk_size_does_not_change_counts(monkeypatch, name, bindings):
+    # Each chunk of shots is its own walk of the outcome tree; the chunks'
+    # counts, merged in order, must give the same dict in the same order
+    # as one chunk of every shot.
+    prep = S.prepare(corpus_program(name), bindings)
+    measuring = sum(any(len(f.outcomes) > 1 for f in gate.families)
+                    for _step, gate in prep.firing)
+    draws, sizes = S._draws, []
+    monkeypatch.setattr(S, "_draws", lambda seed, shots, skips:
+                        sizes.append(shots) or draws(seed, shots, skips))
+    whole = S.sample_distribution(prep, 120, seed=4)
+    assert sizes == [120]
+    for per_chunk, chunks in [(1, [1] * 120), (7, [7] * 17 + [1])]:
+        sizes.clear()
+        monkeypatch.setattr(S, "SAMPLE_CHUNK_DRAWS", per_chunk * measuring)
+        assert list(S.sample_distribution(prep, 120, seed=4).items()) == list(whole.items())
+        assert sizes == chunks
+
+
+@pytest.mark.parametrize("shots", [-5, 2.5, True, "3", None])
+def test_sample_distribution_rejects_bad_shot_counts(shots):
+    with pytest.raises(SimulationError, match="shots must be a non-negative integer"):
+        S.sample_distribution(parse("H(1); b := SM(1)"), shots)
+
+
+def test_zero_shots_give_no_counts():
+    assert S.sample_distribution(parse("H(1); b := SM(1)"), 0) == {}
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,12 @@ from conftest import corpus_program
 
 
 def per_column(prep: S.PreparedProgram) -> np.ndarray:
+    def only(gate, fam, outs, prob, slot):
+        return [(outs[0], None)]
+
     width = prep.circuit.width
     return np.stack([next(S._walk(prep, Q.make_state(format(j, f"0{width}b"), width),
-                                  lambda gate, fam, outs, prob: outs))[0].amplitudes
+                                  only))[0].amplitudes
                      for j in range(2**width)], axis=1)
 
 
