@@ -486,6 +486,22 @@ def test_sampler_chunk_size_does_not_change_counts(monkeypatch, name, bindings):
         assert sizes == chunks
 
 
+@pytest.mark.parametrize("budget", [0, 256, 1024])
+@pytest.mark.parametrize("name, bindings", [("grover", {"n": 4, "N": 16, "m": 11}),
+                                            ("cnot_mb", {"c": 1, "t": 0})])
+def test_sampler_state_cache_budget_does_not_change_counts(monkeypatch, name, bindings,
+                                                           budget):
+    # The sampler's memory budget is SAMPLE_CHUNK_DRAWS, the draws held at
+    # once: for 120 shots, 0 gives one shot per chunk, 256 two chunks of
+    # unequal size and 1024 one chunk; each must reproduce the default
+    # budget's counts in the same order.
+    prog = corpus_program(name)
+    whole = S.sample_distribution(prog, 120, seed=4, bindings=bindings)
+    monkeypatch.setattr(S, "SAMPLE_CHUNK_DRAWS", budget)
+    counts = S.sample_distribution(prog, 120, seed=4, bindings=bindings)
+    assert list(counts.items()) == list(whole.items())
+
+
 @pytest.mark.parametrize("shots", [-5, 2.5, True, "3", None])
 def test_sample_distribution_rejects_bad_shot_counts(shots):
     with pytest.raises(SimulationError, match="shots must be a non-negative integer"):
