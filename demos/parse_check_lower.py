@@ -45,11 +45,14 @@ for d in diagnostics:
 # Lowering the teleportation program.
 # ---------------------------------------------------------------------------
 
+# prepare() elaborates, lowers and schedules once, the path that every
+# entry point and every CLI subcommand takes; the result holds the
+# circuit, its decomposition tree and the greedy schedule.
 programs = resources.files("qcasm") / "programs"
 teleport = qcasm.parse((programs / "teleport.qcasm").read_text())
 registry = qcasm.load_registry(str(programs / "teleport_demo.json"))
-ground = qcasm.elaborate(teleport, None, registry)
-circ = qcasm.lower(ground)
+prep = qcasm.prepare(teleport, None, registry)
+circ = prep.circuit
 
 print(f"\nteleport lowers to {len(circ.gates)} gates on {circ.width} wires:")
 for gid in circ.gids:
@@ -59,12 +62,11 @@ for gid in circ.gids:
 
 # The decomposition tree records how sequential and parallel composition
 # built the program; canonicalizing flattens redundant grouping.
-tree = qcasm.canonicalize(qcasm.decomposition(ground))
-print("\ncanonical decomposition:", circuit.tree_text(tree))
+print("\ncanonical decomposition:", circuit.tree_text(qcasm.canonicalize(prep.tree)))
 
 # Schedules: the greedy one fires everything as early as possible; the
 # full enumeration lists every legal division into bouts.
-print("greedy schedule:", qcasm.greedy_schedule(ground))
+print("greedy schedule:", prep.schedule)
 print("legal schedules:", len(qcasm.all_schedules(circ)))
 
 # A DOT rendering for graphviz, classical dependencies dashed.

@@ -870,8 +870,6 @@ def check_program(program: Program, bindings: Mapping[str, int] | None = None,
     """Elaborate and check; returns the ground program (or None) plus diagnostics."""
     try:
         ground = elaborate(program, bindings, registry)
-    except ElaborationError as exc:
-        return None, [Diagnostic("error", str(exc), clause=exc.clause)]
-    except QmathError as exc:
-        return None, [Diagnostic("error", str(exc))]
+    except (ElaborationError, QmathError) as exc:
+        return None, exc.diagnostics()
     return ground, well_formed(ground.body)

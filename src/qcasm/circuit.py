@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import ast
-from .errors import CapExceededError, LoweringError, ScheduleError
+from .errors import CapExceededError, IllFormedError, LoweringError, ScheduleError
 from .qmath import MeasurementFamily
 
 Gid = tuple[int, int]
@@ -151,10 +151,8 @@ def _require_ground(program: ast.Program) -> ast.Program:
     if program.params or not ast.is_ground(program.body):
         raise LoweringError("lowering needs an elaborated program; call elaborate() first")
     diags = ast.well_formed(program.body, external=set())
-    errors = [d for d in diags if d.severity == "error"]
-    if errors:
-        raise LoweringError("program is not well formed: "
-                            + "; ".join(d.render() for d in errors))
+    if diags:
+        raise IllFormedError(diags)
     return program
 
 

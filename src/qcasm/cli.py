@@ -9,10 +9,13 @@
 
 PROGRAM is a file path or "-" for stdin.  --param NAME=INT binds a
 program parameter and may repeat; --registry FILE loads measurement
-families and states from JSON and may repeat.  Exit status: 0 on
-success, 1 when the program is rejected or execution fails, 2 for
-usage and file errors.  Outputs are deterministic: the same inputs and
-seed produce identical bytes.
+families and states from JSON and may repeat.  Every subcommand gets
+its program from ``sim.prepare`` and reports a rejected one with the
+same lines on stderr (``line:col: error: message (clause) [at path]``,
+the parts that are known).  Exit status: 0 on success, 1 when the
+program is rejected or execution fails, 2 for usage and file errors.
+Outputs are deterministic: the same inputs and seed produce identical
+bytes.
 """
 from __future__ import annotations
 
@@ -22,8 +25,8 @@ import json
 import os
 import sys
 
-from . import ast, circuit, sim
-from .errors import Diagnostic, ParseError, QcasmError
+from . import circuit, sim
+from .errors import QcasmError
 from .parser import parse
 from .qmath import Registry, load_registry
 
@@ -127,26 +130,22 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(end)
 
 
-def _ground(args) -> tuple[ast.Program, Registry]:
-    bindings = _parse_params(args.param)
-    registry = _load_registries(args.registry)
-    program = parse(_read_program(args.program))
-    return ast.elaborate(program, bindings, registry), registry
-
-
 def _prepare(args) -> sim.PreparedProgram:
-    """Elaborate, lower and schedule once, as --schedule asks.  The
-    --schedule text is read before any program work, so a usage error
-    is reported as one."""
+    """Parse, elaborate, lower and schedule once, as --schedule asks: the
+    program of every subcommand.  The options are read before any
+    program work (--schedule, then --param, then --registry), so a usage
+    error is reported as one."""
+    schedule = getattr(args, "schedule", "greedy")
     index = None
-    if args.schedule != "greedy":
+    if schedule != "greedy":
         try:
-            index = int(args.schedule)
+            index = int(schedule)
         except ValueError:
             raise _UsageError(f"--schedule wants 'greedy' or an index, "
-                              f"got {args.schedule!r}") from None
-    ground, registry = _ground(args)
-    prep = sim.prepare(ground, registry=registry)
+                              f"got {schedule!r}") from None
+    bindings = _parse_params(args.param)
+    registry = _load_registries(args.registry)
+    prep = sim.prepare(parse(_read_program(args.program)), bindings, registry)
     if index is None:
         return prep
     options = circuit.all_schedules(prep.circuit)
@@ -161,22 +160,14 @@ def _prepare(args) -> sim.PreparedProgram:
 # ---------------------------------------------------------------------------
 
 def _cmd_check(args) -> int:
-    bindings = _parse_params(args.param)
-    registry = _load_registries(args.registry)
-    program = parse(_read_program(args.program))
-    ground, diags = ast.check_program(program, bindings, registry)
-    for d in diags:
-        print(d.render(), file=sys.stderr)
-    if ground is None or any(d.severity == "error" for d in diags):
-        return 1
-    circ = circuit.lower(ground)
+    circ = _prepare(args).circuit
     _emit(f"ok: {len(circ.gates)} gates on {circ.width} wires", args.out)
     return 0
 
 
 def _cmd_lower(args) -> int:
-    ground, _ = _ground(args)
-    circ, tree = circuit._lower(ground)
+    prep = _prepare(args)
+    circ = prep.circuit
     if args.format == "json":
         _emit(sim.emit_json(circ.to_json()), args.out)
     elif args.format == "dot":
@@ -187,7 +178,7 @@ def _cmd_lower(args) -> int:
             deps = sorted(circ.prereq[g.gid])
             dep_text = ", ".join(f"{a}.{b}" for a, b in deps) if deps else "-"
             lines.append(f"  {g.gid[0]}.{g.gid[1]}: {g.label}   after: {dep_text}")
-        lines.append(f"decomposition: {circuit.tree_text(circuit.canonicalize(tree))}")
+        lines.append(f"decomposition: {circuit.tree_text(circuit.canonicalize(prep.tree))}")
         _emit("\n".join(lines), args.out)
     return 0
 
@@ -239,8 +230,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_schedules(args) -> int:
-    ground, registry = _ground(args)
-    prep = sim.prepare(ground, registry=registry)
+    prep = _prepare(args)
     options = circuit.all_schedules(prep.circuit, max_count=args.max)
     if args.verify:
         sim.check_schedule_independence(prep, schedules=options)
@@ -258,8 +248,7 @@ def _cmd_schedules(args) -> int:
 
 
 def _cmd_canon(args) -> int:
-    ground, _ = _ground(args)
-    tree = circuit.canonicalize(circuit.decomposition(ground))
+    tree = circuit.canonicalize(_prepare(args).tree)
     if args.format == "json":
         def as_json(t):
             if t is None:
@@ -287,12 +276,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_argparser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ParseError as e:
-        print(Diagnostic("error", e.message, line=e.line, column=e.column).render(),
-              file=sys.stderr)
-        return 1
     except QcasmError as e:
-        print(f"error: {e}", file=sys.stderr)
+        for d in e.diagnostics():
+            print(d.render(), file=sys.stderr)
         return 1
     except MemoryError as e:  # numpy's _ArrayMemoryError included
         print(f"error: out of memory: {e}", file=sys.stderr)

@@ -1,11 +1,16 @@
 """Shared error types and the diagnostic record used across the package."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class QcasmError(Exception):
     """Base class for all errors raised by this package."""
+
+    def diagnostics(self) -> list[Diagnostic]:
+        """The lines that report this error: here one ``error: message``;
+        subclasses that know a position, a clause or a list report those."""
+        return [Diagnostic("error", str(self))]
 
 
 class QmathError(QcasmError):
@@ -41,6 +46,9 @@ class ParseError(QcasmError):
         self.line = line
         self.column = column
 
+    def diagnostics(self) -> list[Diagnostic]:
+        return [Diagnostic("error", self.message, line=self.line, column=self.column)]
+
 
 class ElaborationError(QcasmError):
     """Raised when a program cannot be reduced to ground form.
@@ -53,9 +61,25 @@ class ElaborationError(QcasmError):
         super().__init__(message)
         self.clause = clause
 
+    def diagnostics(self) -> list[Diagnostic]:
+        return [Diagnostic("error", str(self), clause=self.clause)]
+
 
 class LoweringError(QcasmError):
     pass
+
+
+class IllFormedError(LoweringError):
+    """A ground program that breaks well-formedness clauses: it reports
+    their diagnostics, and ``str(e)`` joins them in one line."""
+
+    def __init__(self, found: list[Diagnostic]):
+        super().__init__("program is not well formed: "
+                         + "; ".join(d.render() for d in found))
+        self.found = found
+
+    def diagnostics(self) -> list[Diagnostic]:
+        return list(self.found)
 
 
 class ScheduleError(QcasmError):

@@ -16,6 +16,13 @@ sign from channel variable v.  Wire lists accept inclusive ranges
 ``bell00 on 2,3``, ``bit(c) on 1``, or ``forall i in [1,n]: ket 0 on i``
 with the keyword ``and``.
 
+Expression operators bind by one table, ``_BINARY`` and ``_PREFIX``,
+which the parser climbs and the printer parenthesizes by.  Loosest
+first: ``or``; ``and``; prefix ``not``; ``=`` and ``<``
+(non-associative); ``+``, ``-``, ``xor``; ``*``, ``mod``, ``div``;
+prefix ``-`` and ``^`` (right-associative), so ``-a^b`` is ``-(a^b)``
+and ``2^-1`` parses.
+
 ``parse`` is total: it returns a Program or raises ParseError with a
 line/column position.  ``pretty`` renders a parsed program back to text
 that re-parses to an equal tree.
@@ -37,6 +44,22 @@ _SYMBOLS = (":=", "..", "||", "(", ")", "{", "}", "[", "]",
             ",", ";", ":", "=", "<", "+", "-", "*", "^")
 
 _STATEMENT_FOLLOWERS = {";", "||", "}", "eof", "elseif", "else"}
+
+# Operator precedence, read by both the parser and the printer.  A binary
+# operator maps to its level (higher binds tighter) and associativity; a
+# prefix operator maps to the level of its operand.
+_BINARY = {"or": (1, "left"), "and": (2, "left"), "=": (4, None), "<": (4, None),
+           "+": (5, "left"), "-": (5, "left"), "xor": (5, "left"),
+           "*": (6, "left"), "mod": (6, "left"), "div": (6, "left"), "^": (7, "right")}
+_PREFIX = {"not": 3, "-": 7}
+
+
+def _operand_levels(op: str) -> tuple[int, int, int]:
+    """The level of binary ``op`` and of its left and right operands: an
+    operand on the associative side may be at the operator's own level,
+    any other must bind tighter."""
+    level, assoc = _BINARY[op]
+    return level, level + (assoc != "left"), level + (assoc != "right")
 
 
 @dataclass(frozen=True)
@@ -183,7 +206,7 @@ class _Parser:
             self.expect(":")
             state = self.state_desc()
             self.expect("on")
-            wire = self.additive()
+            wire = self.expr(5)
             return ast.InputConjunct(state, (wire,), binder=ast.Binder(var, domain), pos=pos)
         state = self.state_desc()
         self.expect("on")
@@ -308,7 +331,7 @@ class _Parser:
         """Parse [(-1)^v] name[subscript](wires) and wrap it as a gate rule."""
         phase = None
         if self.at("("):
-            lp = self.advance()
+            self.advance()
             self.expect("-", "'-1' in a phase prefix")
             one = self.expect("int", "'-1' in a phase prefix")
             if one.text != "1":
@@ -317,7 +340,6 @@ class _Parser:
             self.expect("^", "'^' after (-1)")
             var = self.expect("ident", "a channel variable in the phase exponent")
             phase = ast.Name(var.text)
-            del lp
         name_tok = self.expect("ident", "a gate or measurement name")
         mexpr = self.finish_mexpr(name_tok, phase)
         wires = self.wire_items_parens()
@@ -400,10 +422,10 @@ class _Parser:
     def wire_item(self):
         # Wires are arithmetic; stopping below "and"/"or" keeps the input
         # declaration separator ("... on 1 and ket 0 on 2") unambiguous.
-        e = self.additive()
+        e = self.expr(5)
         if self.at(".."):
             self.advance()
-            return ast.WireRange(e, self.additive())
+            return ast.WireRange(e, self.expr(5))
         return e
 
     def range_literal(self) -> ast.Range:
@@ -427,61 +449,24 @@ class _Parser:
 
     # -- expressions ----------------------------------------------------------
 
-    def expr(self) -> ast.Expr:
-        return self.or_expr()
-
-    def or_expr(self) -> ast.Expr:
-        e = self.and_expr()
-        while self.at("or"):
+    def expr(self, level: int = 1) -> ast.Expr:
+        """An expression whose operators all bind at ``level`` or tighter
+        (see ``_BINARY`` and ``_PREFIX``)."""
+        op = self.peek().kind
+        if op in _PREFIX and level <= _PREFIX[op]:
             self.advance()
-            e = ast.BinOp("or", e, self.and_expr())
-        return e
-
-    def and_expr(self) -> ast.Expr:
-        e = self.not_expr()
-        while self.at("and"):
+            top = _PREFIX[op]
+            e = ast.UnOp(op, self.expr(top))
+        else:
+            top, e = float("inf"), self.expr_atom()
+        # ``top`` is the level of ``e``, which may be the left operand of
+        # an operator only at that operand's level or tighter.
+        while (op := self.peek().kind) in _BINARY:
+            at, left, right = _operand_levels(op)
+            if at < level or top < left:
+                break
             self.advance()
-            e = ast.BinOp("and", e, self.not_expr())
-        return e
-
-    def not_expr(self) -> ast.Expr:
-        if self.at("not"):
-            self.advance()
-            return ast.UnOp("not", self.not_expr())
-        return self.comparison()
-
-    def comparison(self) -> ast.Expr:
-        e = self.additive()
-        if self.at("=") or self.at("<"):
-            op = self.advance().kind
-            return ast.BinOp(op, e, self.additive())
-        return e
-
-    def additive(self) -> ast.Expr:
-        e = self.multiplicative()
-        while self.peek().kind in ("+", "-", "xor"):
-            op = self.advance().kind
-            e = ast.BinOp(op, e, self.multiplicative())
-        return e
-
-    def multiplicative(self) -> ast.Expr:
-        e = self.unary()
-        while self.peek().kind in ("*", "mod", "div"):
-            op = self.advance().kind
-            e = ast.BinOp(op, e, self.unary())
-        return e
-
-    def unary(self) -> ast.Expr:
-        if self.at("-"):
-            self.advance()
-            return ast.UnOp("-", self.unary())
-        return self.power()
-
-    def power(self) -> ast.Expr:
-        e = self.expr_atom()
-        if self.at("^"):
-            self.advance()
-            return ast.BinOp("^", e, self.unary())
+            e, top = ast.BinOp(op, e, self.expr(right)), at
         return e
 
     def expr_atom(self) -> ast.Expr:
@@ -520,10 +505,6 @@ def parse(text: str) -> ast.Program:
 # pretty printing
 # ---------------------------------------------------------------------------
 
-_LEVELS = {"or": 1, "and": 2, "=": 4, "<": 4, "+": 5, "-": 5, "xor": 5,
-           "*": 6, "mod": 6, "div": 6, "^": 8}
-
-
 def pretty_expr(e: ast.Expr, min_level: int = 0) -> str:
     if isinstance(e, ast.IntLit):
         return str(e.value)
@@ -532,20 +513,16 @@ def pretty_expr(e: ast.Expr, min_level: int = 0) -> str:
     if isinstance(e, ast.Call):
         return f"{e.fn}({', '.join(pretty_expr(a) for a in e.args)})"
     if isinstance(e, ast.UnOp):
-        lvl = 3 if e.op == "not" else 7
+        lvl = _PREFIX[e.op]
         sep = " " if e.op == "not" else ""
         text = f"{e.op}{sep}{pretty_expr(e.operand, lvl)}"
-        return f"({text})" if lvl < min_level else text
-    if isinstance(e, ast.BinOp):
-        lvl = _LEVELS[e.op]
-        if e.op == "^":
-            text = f"{pretty_expr(e.left, lvl + 1)}^{pretty_expr(e.right, lvl)}"
-        elif e.op in ("=", "<"):
-            text = f"{pretty_expr(e.left, lvl + 1)} {e.op} {pretty_expr(e.right, lvl + 1)}"
-        else:
-            text = f"{pretty_expr(e.left, lvl)} {e.op} {pretty_expr(e.right, lvl + 1)}"
-        return f"({text})" if lvl < min_level else text
-    raise TypeError(f"not an expression: {e!r}")
+    elif isinstance(e, ast.BinOp):
+        lvl, left, right = _operand_levels(e.op)
+        sep = "" if e.op == "^" else " "
+        text = f"{pretty_expr(e.left, left)}{sep}{e.op}{sep}{pretty_expr(e.right, right)}"
+    else:
+        raise TypeError(f"not an expression: {e!r}")
+    return f"({text})" if lvl < min_level else text
 
 
 def _pretty_wires(wires) -> str:
@@ -556,7 +533,7 @@ def _pretty_wires(wires) -> str:
         elif isinstance(w, int):
             parts.append(str(w))
         else:
-            parts.append(pretty_expr(w))
+            parts.append(pretty_expr(w, 5))  # the level that wire_item reads
     return ", ".join(parts)
 
 

@@ -742,9 +742,6 @@ class Registry:
         return bool(base) and (base in self.families or base in STD_GATES)
 
 
-DEFAULT_REGISTRY = Registry()
-
-
 def _complex_from_pair(pair, context: str) -> complex:
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise RegistryError(f"{context}: expected [re, im], got {pair!r}")

@@ -90,11 +90,13 @@ class Enumeration:
 
 @dataclass
 class PreparedProgram:
-    """A ground program, its circuit and a checked schedule, in firing
-    order.  It holds no state vector, so it is cheap to keep and reuse."""
+    """A ground program, its circuit, the circuit's decomposition tree
+    and a checked schedule, in firing order.  It holds no state vector,
+    so it is cheap to keep and reuse."""
     program: ast.Program
     registry: Registry
     circuit: GeneralizedCircuit
+    tree: circuit_mod.DecompTree | None
     schedule: Schedule
     firing: tuple[tuple[int, Gate], ...] = field(init=False, repr=False)
 
@@ -163,15 +165,15 @@ def _conjunct_state(c: ast.InputConjunct, registry: Registry) -> QuantumState:
 def prepare(program: ast.Program, bindings: dict | None = None,
             registry: Registry | None = None,
             schedule: Schedule | None = None) -> PreparedProgram:
-    """Elaborate (if needed), lower and schedule (greedily by default):
-    the one path from a program to the circuit that the simulator fires."""
+    """Elaborate, lower and schedule (greedily by default): the one path
+    from a program to the circuit that the simulator fires, and the one
+    that every subcommand of the CLI takes."""
     registry = registry if registry is not None else Registry()
-    if program.params or not ast.is_ground(program.body):
-        program = ast.elaborate(program, bindings or {}, registry)
+    program = ast.elaborate(program, bindings, registry)
     circ, tree = circuit_mod._lower(program)
     if schedule is None:
         schedule = circuit_mod.greedy_schedule(circ, tree)
-    return PreparedProgram(program, registry, circ, schedule)
+    return PreparedProgram(program, registry, circ, tree, schedule)
 
 
 def _prepared(program: ast.Program | PreparedProgram, bindings: dict | None,
@@ -460,8 +462,9 @@ def sample_distribution(program: ast.Program | PreparedProgram, shots: int,
         size = min(chunk, shots - first)
         draws = _draws(seed + first, size, skips)
         leaves = []
-        for _state, _store, _prob, path, taken in _walk(prep, prep.input_state(), follow,
-                                                         np.arange(size)):
+        for _state, store, _prob, path, taken in _walk(prep, prep.input_state(), follow,
+                                                        np.arange(size)):
+            _run_classical(prep.program, store)  # a shot that run() rejects fails here too
             key = []
             while path is not None:
                 path, _step, gate, _name, label = path

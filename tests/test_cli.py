@@ -1,5 +1,6 @@
 """The command-line front end: exit codes, output determinism, and the
 behavior of every subcommand, driven through main(argv)."""
+import collections
 import io
 import json
 import sys
@@ -7,10 +8,12 @@ import sys
 import numpy as np
 import pytest
 
-from qcasm import cli, qmath, sim
+from qcasm import ast, circuit, cli, qmath, sim
 from qcasm.cli import main
+from qcasm.errors import SimulationError
+from qcasm.parser import parse
 
-from conftest import FIXTURES, PROGRAMS
+from conftest import CORPUS, FIXTURES, PROGRAMS, corpus_program
 
 
 TELEPORT = str(PROGRAMS / "teleport.qcasm")
@@ -350,3 +353,51 @@ def test_canon_equal_for_regrouped_programs(capsys):
     _, a, _ = run_cli("lower", CNOT, "--format", "json", capsys=capsys)
     _, b, _ = run_cli("lower", liberal, "--format", "json", capsys=capsys)
     assert a == b  # but the lowered circuits are byte-identical
+
+
+# ---------------------------------------------------------------------------
+# one path from source to prepared program
+# ---------------------------------------------------------------------------
+
+def test_every_subcommand_prepares_once(monkeypatch, capsys, pe_registry):
+    calls = collections.Counter()
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((ast, "elaborate"), (ast, "well_formed"), (circuit, "_lower")):
+        spy(module, name)
+    for command in ("check", "run", "enumerate", "lower", "schedules", "canon"):
+        calls.clear()
+        assert run_cli(command, TELEPORT, "--registry", TELE_REG, capsys=capsys)[0] == 0
+        assert calls == {"elaborate": 1, "well_formed": 1, "_lower": 1}, command
+    monkeypatch.undo()
+    bindings = {"qft": {"n": 3}, "grover": {"n": 2, "N": 4, "m": 3}}
+    for name in CORPUS:
+        reg = pe_registry if name == "phase_est" else None
+        prog = corpus_program(name)
+        ground = ast.elaborate(prog, bindings.get(name), reg)
+        assert sim.prepare(prog, bindings.get(name), reg).tree == \
+            circuit.decomposition(ground), name
+
+
+def test_sampler_runs_the_classical_pass(tmp_path, capsys):
+    # Every run of this program fails in its classical pass, so every
+    # shot must fail too, however many there are.
+    text = "H(1); b := SM(1); zzz := 1 || zzz := 2\n"
+    message = "parallel rules write different values to 'zzz'"
+    with pytest.raises(SimulationError, match=message):
+        sim.run(parse(text))
+    for shots in (1, 3):
+        with pytest.raises(SimulationError, match=message):
+            sim.sample_distribution(parse(text), shots)
+    path = tmp_path / "clash.qcasm"
+    path.write_text(text)
+    for shots in ("1", "3"):
+        assert run_cli("run", str(path), "--shots", shots, capsys=capsys) == \
+            (1, "", f"error: {message}\n")

@@ -163,10 +163,10 @@ def render(argv) -> str:
     return out.getvalue()
 
 
-def render_check(path: pathlib.Path) -> str:
+def render_check(path: pathlib.Path, command: str = "check") -> str:
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        code = main(["check", str(path)])
+        code = main([command, str(path)])
     return f"exit {code}\n{err.getvalue()}"
 
 
@@ -176,10 +176,14 @@ def test_cli_output_matches_golden(name):
     assert render(CASES[name]) == expected
 
 
-@pytest.mark.parametrize("path", CHECKS, ids=lambda p: p.stem)
-def test_check_diagnostics_match_golden(path):
+# Every subcommand reports a rejected program with check's lines.
+@pytest.mark.parametrize("command,path", [
+    pytest.param(command, path, id=path.stem if command == "check" else f"{command}-{path.stem}")
+    for command in ("check", "run", "enumerate", "lower", "schedules", "canon")
+    for path in CHECKS])
+def test_check_diagnostics_match_golden(command, path):
     expected = (GOLDEN / f"check_{path.stem}.out").read_text(encoding="utf-8")
-    assert render_check(path) == expected
+    assert render_check(path, command) == expected
 
 
 # qft n=12 on the odd basis ket |j>: every one of the 4096 output

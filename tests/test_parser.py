@@ -370,6 +370,13 @@ def test_pretty_minimal_parens():
     assert pretty_expr(expr("1 - (2 - 3)")) == "1 - (2 - 3)"
 
 
+def test_pretty_wires_reparse():
+    # a wire is read at the additive level, so a looser one keeps its parens
+    for text in ("H((not a))", "H((a < b), 2)", "ket 0 on (a or b); H(1)"):
+        prog = parse(text)
+        assert parse(pretty(prog)) == prog, text
+
+
 def test_pretty_preserves_explicit_else_skip():
     prog = parse("p := SM(1); if p = 1 then zzz := 1 else skip")
     assert "else skip" in pretty(prog)
