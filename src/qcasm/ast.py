@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, fields
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 from . import qmath
 from .errors import Diagnostic, ElaborationError, QmathError, SimulationError
@@ -73,16 +73,32 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+# The largest bit length of an integer the classical language makes.
+# 2**MAX_INT_BITS has 4 215 decimal digits, and CPython converts ints of
+# at most 4 300 digits to text, so every value stays printable.
+MAX_INT_BITS = 14_000
+
+
+def _bounded(v: int, op: str, err):
+    if v.bit_length() > MAX_INT_BITS:
+        raise err(f"operator {op!r}: result exceeds {MAX_INT_BITS} bits")
+    return v
+
+
 def _apply_binop(op: str, a, b, err=SimulationError):
     if op in ("+", "-", "*", "mod", "div", "xor", "^", "<"):
         if not (_is_int(a) and _is_int(b)):
             raise err(f"operator {op!r} needs integer operands, got {a!r} and {b!r}")
     if op == "+":
-        return a + b
+        return _bounded(a + b, op, err)
     if op == "-":
-        return a - b
+        return _bounded(a - b, op, err)
     if op == "*":
-        return a * b
+        # Nonzero operands of la and lb bits make a product of at least
+        # la + lb - 1 bits, so one past the bound is refused uncomputed.
+        if a and b and a.bit_length() + b.bit_length() - 1 > MAX_INT_BITS:
+            raise err(f"operator {op!r}: result exceeds {MAX_INT_BITS} bits")
+        return _bounded(a * b, op, err)
     if op == "mod":
         if b == 0:
             raise err("mod by zero")
@@ -98,7 +114,11 @@ def _apply_binop(op: str, a, b, err=SimulationError):
     if op == "^":
         if b < 0:
             raise err(f"power needs a non-negative exponent, got {b}")
-        return a**b
+        # |a| >= 2 of l bits makes a power of more than b * (l - 1) bits,
+        # so one past the bound is refused uncomputed.
+        if abs(a) > 1 and b * (a.bit_length() - 1) >= MAX_INT_BITS:
+            raise err(f"operator {op!r}: result exceeds {MAX_INT_BITS} bits")
+        return _bounded(a**b, op, err)
     if op == "<":
         return a < b
     if op == "=":
@@ -233,6 +253,47 @@ def eval_runtime(e: Expr, store: Mapping[str, int]):
             return store[key]
         raise SimulationError(f"dynamic function value {key!r} has no value")
     raise SimulationError(f"cannot evaluate {e!r}")
+
+
+def compile_runtime(e: Expr) -> Callable[[Mapping[str, int]], object]:
+    """``e`` compiled once into a function of the store that returns
+    ``eval_runtime(e, store)``, or raises what it raises: operands are
+    evaluated left to right and combined by the same ``_apply_binop``
+    and ``_apply_unop``, and an expression that cannot be evaluated
+    fails only when it is called."""
+    if isinstance(e, IntLit):
+        value = e.value
+        return lambda store: value
+    if isinstance(e, Name):
+        ident = e.ident
+
+        def name(store):
+            if ident in store:
+                return store[ident]
+            raise SimulationError(f"variable {ident!r} has no value")
+        return name
+    if isinstance(e, BinOp):
+        op, left, right = e.op, compile_runtime(e.left), compile_runtime(e.right)
+        return lambda store: _apply_binop(op, left(store), right(store))
+    if isinstance(e, UnOp):
+        op, operand = e.op, compile_runtime(e.operand)
+        return lambda store: _apply_unop(op, operand(store))
+    if isinstance(e, Call):
+        fn, args = e.fn, tuple(compile_runtime(a) for a in e.args)
+        if fn in STATIC_FUNCTIONS:
+            static = STATIC_FUNCTIONS[fn]
+            return lambda store: static(*[a(store) for a in args])
+
+        def call(store):
+            key = dynamic_key(fn, tuple(a(store) for a in args))
+            if key in store:
+                return store[key]
+            raise SimulationError(f"dynamic function value {key!r} has no value")
+        return call
+
+    def fail(store):
+        raise SimulationError(f"cannot evaluate {e!r}")
+    return fail
 
 
 def dynamic_key(name: str, args: tuple = ()) -> str:

@@ -11,8 +11,10 @@ Conventions used throughout the package:
   to A_i |s> / ||A_i |s>||.  A unitary gate is the one-outcome special case.
 * Gates act on arbitrary distinct wires; the full 2**w x 2**w matrix is
   never materialized.  Each operator is classified from its exact zero
-  pattern (``structure``) the first time it is applied, and
-  ``apply_operator`` applies it by that kind:
+  pattern (``structure``) the first time it is applied.
+  ``bind_operator`` checks the wires once and binds the kernel of that
+  kind, with its views, slices and axes, to the wires and the state's
+  width; ``apply_operator`` is a bind and one call.  The kinds:
   - a *gather*, at most one nonzero per row (R_k, cR_k, Z, reflect0, I,
     X, CNOT, SWAP, mark, the SM and PM projectors), makes each output
     row a factor times one input row: one pass copies the state, or
@@ -20,13 +22,20 @@ Conventions used throughout the package:
     themselves, then each other row is one strided slice copy, or an
     in-place multiply where its factor is not 1 (one quarter of the
     state for cR_k), on the (2,)*w view with no transpose;
-  - anything else (H, QFT_n, most user families) is *dense*: one
-    ``tensordot`` contracts the operator with the gate's axes.
+  - anything else (H, QFT_n, most user families) is *dense*: the
+    operator contracts the gate's axes by ``tensordot``'s own steps (a
+    transposed copy of the state and one ``np.dot``), with the axes
+    worked out at bind time.
   Each kind writes a new vector or a buffer the caller passes, and a
   diagonal gather (every row reads itself) can scale the state in
   place; the three paths give the same bytes.  The simulator's walk
-  uses the last two (``outcome_vectors_into``), so a gather allocates
-  no state-sized array there (a dense gate keeps tensordot's own).
+  uses the last two (``bind_outcomes`` with a scratch buffer), so a
+  gather allocates no state-sized array there (a dense gate keeps the
+  transposed copy and the product).
+* Library families (``STD_GATES``, their ``c`` forms, ``I_k``) are
+  complete by construction and are built without the completeness
+  check; ``make_family``, ``unitary_family``, ``family_power`` and
+  registered families keep it.
 * A taken outcome A_i |s> is divided by its norm, except for a
   single-outcome family whose squared norm is already within
   ``UNIT_NORM_SLACK`` of 1: a unitary leaves the state normalized to
@@ -300,6 +309,14 @@ def unitary_family(name: str, matrix) -> MeasurementFamily:
     return make_family(name, k, [(0, op)])
 
 
+def _library_unitary(name: str, matrix: np.ndarray) -> MeasurementFamily:
+    """A one-outcome family of the gate library, whose matrix is unitary
+    by construction (up to rounding far below ATOL), so it is built
+    without make_family's O(d**3) completeness check.  The tests run
+    that check over every builder."""
+    return MeasurementFamily(name, len(matrix).bit_length() - 1, (Outcome(0, matrix),))
+
+
 def scaled_family(f: MeasurementFamily, scalar: complex, name: str | None = None) -> MeasurementFamily:
     """Multiply every operator by a unit-modulus scalar (completeness is kept)."""
     if abs(abs(scalar) - 1.0) > ATOL:
@@ -391,7 +408,6 @@ def make_state(spec: StateDescriptor, width: int, registry: "Registry | None" = 
 # applying operators to selected wires
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=1024)
 def _layout(wires: tuple[int, ...], width: int):
     """The (2,)*width view with each run of non-gate wires merged into one
     axis, so the j-th gate wire in ascending order is axis 2j+1.  Returns
@@ -408,6 +424,84 @@ def _layout(wires: tuple[int, ...], width: int):
 
 _ALL = slice(None)
 
+Kernel = Callable[[np.ndarray, Union[np.ndarray, None]], np.ndarray]
+
+
+def bind_operator(op: np.ndarray | Structure, wires: Sequence[int], width: int) -> Kernel:
+    """``apply_operator`` of ``op`` on ``wires`` of a ``width``-wire
+    state, bound once: the wires and the operator's shape are checked
+    here, and the views, slice tuples and contraction axes are computed
+    here, so ``kernel(amps, out)`` does only the numpy work of
+    ``apply_operator(amps, op, wires, width, out)``."""
+    ws = check_wires(wires, width)
+    k = len(ws)
+    kind, matrix, data, diagonal = op if isinstance(op, Structure) else ("dense", op, None, False)
+    if matrix.shape != (2**k, 2**k):
+        raise InvalidFamilyError(f"operator of shape {matrix.shape} does not act on {k} wires")
+    shape = (2,) * width
+    if kind == "dense":
+        # np.tensordot's own steps, with its axes worked out here: the
+        # gate's axes go first, the operator multiplies them by np.dot,
+        # and the product's axes go back to wire order.
+        axes = [w - 1 for w in ws]
+        order = axes + [a for a in range(width) if a not in axes]
+        back = tuple(sorted(range(width), key=order.__getitem__))
+        rows = (2**k, 2 ** (width - k))
+
+        def dense(amps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+            if out is amps:
+                raise QmathError("only a diagonal operator is applied in place")
+            res = np.dot(matrix, amps.reshape(shape).transpose(order).reshape(rows))
+            res = res.reshape(shape).transpose(back)
+            if out is None:
+                return res.reshape(-1)
+            out.reshape(shape)[...] = res
+            return out
+        return dense
+
+    base, moves = data
+    view, order = _layout(ws, width)
+
+    def at(bits):
+        return (*[i for j in order for i in (_ALL, bits[j])], _ALL)
+
+    reads = [at(col) for _row, col, _f in moves]
+    writes = [(at(row), factor) for row, _col, factor in moves]
+    # In place, rows of factor 1 are not touched.  The moved rows are
+    # saved before the state is scaled by a base other than 1, and so is
+    # a row of one amplitude (a gate on every wire), which numpy rounds
+    # differently when it multiplies it in place.  So every row gets the
+    # bytes that the other paths compute.
+    save = base != 1 or k == width
+
+    def gather(amps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if out is amps and not diagonal:
+            raise QmathError("only a diagonal operator is applied in place")
+        src = amps.reshape(view)
+        read = [src[r] for r in reads]
+        if out is amps:
+            if save:
+                read = [r.copy() for r in read]
+            if base != 1:
+                np.multiply(amps, base, out=amps)
+        else:
+            # One pass writes every row that is not moved, then each move
+            # writes its slice: 1/2**k of the state.
+            if out is None:
+                out = np.empty(amps.shape, _COMPLEX)
+            if base == 1:
+                out[...] = amps
+            elif base is not None:
+                np.multiply(amps, base, out=out)
+        dst = out.reshape(view)
+        for (row, factor), r in zip(writes, read):
+            if factor is None:
+                dst[row] = r
+            else:
+                np.multiply(r, factor, out=dst[row])
+        return out
+    return gather
+
 
 def apply_operator(amps: np.ndarray, op: np.ndarray | Structure, wires: Sequence[int],
                    width: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -417,57 +511,9 @@ def apply_operator(amps: np.ndarray, op: np.ndarray | Structure, wires: Sequence
     when one is given: ``amps`` itself for a diagonal structure, which
     is then scaled in place, else a buffer that does not overlap
     ``amps``, every entry of which is written.  Each path computes the
-    same products, so the three give the same bytes."""
-    ws = check_wires(wires, width)
-    k = len(ws)
-    kind, matrix, data, diagonal = op if isinstance(op, Structure) else ("dense", op, None, False)
-    if matrix.shape != (2**k, 2**k):
-        raise InvalidFamilyError(f"operator of shape {matrix.shape} does not act on {k} wires")
-    if out is amps and not diagonal:
-        raise QmathError("only a diagonal operator is applied in place")
-    if kind == "dense":
-        axes = [w - 1 for w in ws]
-        res = np.tensordot(matrix.reshape((2,) * (2 * k)), amps.reshape((2,) * width),
-                           axes=(range(k, 2 * k), axes))
-        res = np.moveaxis(res, range(k), axes)
-        if out is None:
-            return res.reshape(-1)
-        out.reshape((2,) * width)[...] = res
-        return out
-    base, moves = data
-    view, order = _layout(ws, width)
-
-    def at(bits):
-        return (*[i for j in order for i in (_ALL, bits[j])], _ALL)
-
-    src = amps.reshape(view)
-    reads = [src[at(col)] for _row, col, _f in moves]
-    if out is amps:
-        # Rows of factor 1 are not touched.  The moved rows are saved
-        # before the state is scaled by a base other than 1, and so is a
-        # row of one amplitude (a gate on every wire), which numpy rounds
-        # differently when it multiplies it in place.  So every row gets
-        # the bytes that the other paths compute.
-        if base != 1 or k == width:
-            reads = [r.copy() for r in reads]
-        if base != 1:
-            np.multiply(amps, base, out=amps)
-    else:
-        # One pass writes every row that is not moved, then each move
-        # writes its slice: 1/2**k of the state.
-        if out is None:
-            out = np.empty(amps.shape, _COMPLEX)
-        if base == 1:
-            out[...] = amps
-        elif base is not None:
-            np.multiply(amps, base, out=out)
-    dst = out.reshape(view)
-    for (row, _col, factor), read in zip(moves, reads):
-        if factor is None:
-            dst[at(row)] = read
-        else:
-            np.multiply(read, factor, out=dst[at(row)])
-    return out
+    same products, so the three give the same bytes.  This is
+    ``bind_operator(op, wires, width)(amps, out)``."""
+    return bind_operator(op, wires, width)(amps, out)
 
 
 def is_unitary_matrix(op: np.ndarray, atol: float = ATOL) -> bool:
@@ -501,36 +547,39 @@ def outcome_vectors(s: QuantumState, f: MeasurementFamily, wires: Sequence[int],
     order), one operator application each, each into a new vector.  A
     squared norm above 1 + ATOL means the family is not complete and is
     rejected; so is a non-finite one, so every vector returned is finite."""
-    return _outcome_vectors(s.amplitudes, s.width, f, wires, labels, None)
+    return bind_outcomes(f, wires, s.width, labels)(s.amplitudes)
 
 
-def outcome_vectors_into(amps: np.ndarray, width: int, f: MeasurementFamily,
-                         wires: Sequence[int], scratch: Callable[[], np.ndarray]
-                         ) -> tuple[OutcomeVector, ...]:
-    """Every outcome of ``f`` on the raw amplitude array ``amps``, which
-    the caller owns and hands over, checked as by ``outcome_vectors``.
-    The one operator of a single-outcome family that is a diagonal
-    scales ``amps`` in place; any other outcome is written into the
-    buffer that ``scratch()`` returns, and ``amps`` is left unchanged."""
-    return _outcome_vectors(amps, width, f, wires, None, scratch)
-
-
-def _outcome_vectors(amps, width, f, wires, labels, scratch) -> tuple[OutcomeVector, ...]:
+def bind_outcomes(f: MeasurementFamily, wires: Sequence[int], width: int,
+                  labels: Sequence[int] | None = None
+                  ) -> Callable[..., tuple[OutcomeVector, ...]]:
+    """``outcome_vectors`` of ``f`` on ``wires`` of a ``width``-wire
+    state, with each outcome's kernel bound once (``bind_operator``):
+    ``fire(amps, scratch=None)`` returns the outcome vectors of the raw
+    amplitude array ``amps``.  Without ``scratch`` each vector is new.
+    With it, the caller owns ``amps`` and hands it over: the one operator
+    of a single-outcome family that is a diagonal scales ``amps`` in
+    place, and any other outcome is written into the buffer that
+    ``scratch()`` returns, leaving ``amps`` unchanged."""
     ws = check_wires(wires, width)
     if len(ws) != f.arity:
         raise InvalidFamilyError(f"{f.name}: family of arity {f.arity} applied to {len(ws)} wires")
-    out = []
+    kernels = []
     for label in f.labels if labels is None else labels:
         st = f.outcome(label).structure
-        buf = None
-        if scratch is not None:
-            buf = amps if f.is_unitary and st.diagonal else scratch()
-        vec = apply_operator(amps, st, ws, width, buf)
-        norm2 = float(np.real(np.vdot(vec, vec)))
-        if not norm2 <= 1.0 + ATOL:  # also true for nan
-            raise InvalidFamilyError(f"{f.name}: outcome probability {norm2} is not at most 1")
-        out.append(OutcomeVector(label, min(max(norm2, 0.0), 1.0), vec, norm2))
-    return tuple(out)
+        kernels.append((label, bind_operator(st, ws, width), f.is_unitary and st.diagonal))
+
+    def fire(amps: np.ndarray, scratch: Callable[[], np.ndarray] | None = None
+             ) -> tuple[OutcomeVector, ...]:
+        out = []
+        for label, kernel, in_place in kernels:
+            vec = kernel(amps, None if scratch is None else amps if in_place else scratch())
+            norm2 = float(np.vdot(vec, vec).real)
+            if not norm2 <= 1.0 + ATOL:  # also true for nan
+                raise InvalidFamilyError(f"{f.name}: outcome probability {norm2} is not at most 1")
+            out.append(OutcomeVector(label, min(max(norm2, 0.0), 1.0), vec, norm2))
+        return tuple(out)
+    return fire
 
 
 def post_vector(f: MeasurementFamily, o: OutcomeVector) -> np.ndarray:
@@ -649,26 +698,26 @@ _PM = MeasurementFamily("PM", 2, (Outcome(0, _PM_EVEN), Outcome(1, _PM_ODD)))
 
 def identity_family(arity: int) -> MeasurementFamily:
     """Identity gate on ``arity`` wires (the implicit else branch of guards)."""
-    return unitary_family("I" if arity == 1 else f"I_{arity}", np.eye(2**arity, dtype=_COMPLEX))
+    return _library_unitary("I" if arity == 1 else f"I_{arity}", np.eye(2**arity, dtype=_COMPLEX))
 
 
 # The gate library: name -> (number of integer parameters, builder that
 # takes those parameters and returns the family).
 STD_GATES: dict[str, tuple[int, Callable[..., MeasurementFamily]]] = {
     "I": (0, lambda: identity_family(1)),
-    "H": (0, lambda: unitary_family("H", _H)),
-    "X": (0, lambda: unitary_family("X", _X)),
-    "Y": (0, lambda: unitary_family("Y", _Y)),
-    "Z": (0, lambda: unitary_family("Z", _Z)),
-    "SWAP": (0, lambda: unitary_family("SWAP", _SWAP)),
-    "CNOT": (0, lambda: unitary_family("CNOT", controlled(_X))),
+    "H": (0, lambda: _library_unitary("H", _H)),
+    "X": (0, lambda: _library_unitary("X", _X)),
+    "Y": (0, lambda: _library_unitary("Y", _Y)),
+    "Z": (0, lambda: _library_unitary("Z", _Z)),
+    "SWAP": (0, lambda: _library_unitary("SWAP", _SWAP)),
+    "CNOT": (0, lambda: _library_unitary("CNOT", controlled(_X))),
     "SM": (0, lambda: _SM),
     "PM": (0, lambda: _PM),
-    "R": (1, lambda k: unitary_family(f"R_{k}", _rotation(k))),
-    "QFT": (1, lambda n: unitary_family(f"QFT_{n}", fourier_matrix(n))),
-    "QFTdg": (1, lambda n: unitary_family(f"QFTdg_{n}", fourier_matrix(n).conj().T)),
-    "mark": (2, lambda n, m: unitary_family(f"mark_({n},{m})", _mark_matrix(n, m))),
-    "reflect0": (1, lambda n: unitary_family(f"reflect0_{n}", _reflect0_matrix(n))),
+    "R": (1, lambda k: _library_unitary(f"R_{k}", _rotation(k))),
+    "QFT": (1, lambda n: _library_unitary(f"QFT_{n}", fourier_matrix(n))),
+    "QFTdg": (1, lambda n: _library_unitary(f"QFTdg_{n}", fourier_matrix(n).conj().T)),
+    "mark": (2, lambda n, m: _library_unitary(f"mark_({n},{m})", _mark_matrix(n, m))),
+    "reflect0": (1, lambda n: _library_unitary(f"reflect0_{n}", _reflect0_matrix(n))),
 }
 
 
@@ -732,13 +781,20 @@ class Registry:
             base = self.family(name[1:], params)
             if not base.is_unitary:
                 raise InvalidFamilyError(f"cannot control the multi-outcome family {base.name!r}")
-            return unitary_family("c" + base.name, controlled(base.outcomes[0].operator))
+            # The controlled form of a library gate is a library gate;
+            # that of a registered family is checked.
+            build = unitary_family if self._root(name) in self.families else _library_unitary
+            return build("c" + base.name, controlled(base.outcomes[0].operator))
         raise UnknownNameError(f"unknown gate or measurement {name!r}")
 
+    def _root(self, name: str) -> str:
+        """``name`` without the leading "c"s that ``family`` strips."""
+        while name.startswith("c") and name not in self.families and name not in STD_GATES:
+            name = name[1:]
+        return name
+
     def knows_gate(self, name: str) -> bool:
-        base = name
-        while base.startswith("c") and base not in self.families and base not in STD_GATES:
-            base = base[1:]
+        base = self._root(name)
         return bool(base) and (base in self.families or base in STD_GATES)
 
 

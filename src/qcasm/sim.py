@@ -1,18 +1,24 @@
 """Executing programs on a dense state-vector simulator.
 
-A prepared program pairs the lowered circuit with a schedule; each
-execution builds the declared input state afresh.  Execution walks the
+A prepared program pairs the lowered circuit with a schedule and with
+its gate tape: per gate that has fired, the guards compiled once into
+closures and, per family and state width, the outcome kernels bound to
+the gate's wires on first use.  The tape depends only on the circuit, so the
+copies that ``with_schedule`` makes share it.  Execution walks the
 schedule bout by bout; inside a bout gates fire in ascending id order.
 Firing a gate evaluates its guards against the classical store,
 selects a measurement family and applies each of its outcome operators
-once.  One depth-first walk of the outcome tree (``_walk``) then follows
-one sampled outcome (``run``), the outcomes that a chunk of shots draws
-(``sample_distribution``), every outcome above the floor
+once.  One depth-first walk of the outcome tree (``_walk``) then
+follows one sampled outcome (``run``), the outcomes that a chunk of
+shots draws (``sample_distribution``), every outcome above the floor
 (``enumerate_branches``) or the only one (``program_unitary``, which
 walks the basis columns in 4 to 8 blocks, each block's columns indexed
-by extra trailing wires of one state).  After the last gate the
-classical rules of the program run: sequential parts apply in order,
-parallel parts all read the same snapshot and their writes must agree.
+by extra trailing wires of one state).  ``run``, ``enumerate_branches``
+and ``sample_distribution`` build the declared input state afresh for
+their walk; ``check_schedule_independence`` builds it once and walks a
+copy per schedule.  After the last gate the classical rules of the
+program run: sequential parts apply in order, parallel parts all read
+the same snapshot and their writes must agree.
 
 Sampling draws one uniform variate per gate from ``random.Random(seed)``
 (a fixed, platform-independent generator) and inverts the outcome CDF in
@@ -27,6 +33,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -34,8 +41,8 @@ from . import ast
 from . import circuit as circuit_mod
 from .circuit import Gate, GeneralizedCircuit, Gid, Schedule
 from .errors import ImpossibleBranchError, SimulationError
-from .qmath import (ATOL, PRUNE_EPS, MAX_WIDTH, MeasurementFamily, QuantumState, Registry,
-                    make_state, outcome_vectors_into, post_vector)
+from .qmath import (ATOL, PRUNE_EPS, MAX_WIDTH, MeasurementFamily, OutcomeVector, QuantumState,
+                    Registry, bind_outcomes, make_state, post_vector)
 
 DEFAULT_MAX_BRANCHES = 2**20
 UNITARY_MAX_WIDTH = 12
@@ -88,16 +95,51 @@ class Enumeration:
         return acc
 
 
+class _TapeGate:
+    """One gate compiled for firing: its guards as closures
+    (``ast.compile_runtime``) and, per family index and state width, the
+    family's outcomes bound to the gate's wires (``qmath.bind_outcomes``),
+    each bound the first time it fires.  It holds operators of the
+    gate's arity and slice tuples, never a state-sized array."""
+
+    __slots__ = ("gate", "guards", "bound")
+
+    def __init__(self, gate: Gate):
+        self.gate = gate
+        self.guards = tuple(ast.compile_runtime(g) for g in gate.guards)
+        self.bound: dict[tuple[int, int], Callable] = {}
+
+    def fire(self, store, amps: np.ndarray, width: int,
+             scratch) -> tuple[MeasurementFamily, tuple[OutcomeVector, ...]]:
+        """The family that the first guard to hold selects (else the
+        last) and its outcome vectors on ``amps``, which the caller
+        hands over as to ``bind_outcomes``'s ``fire``."""
+        i = 0
+        for guard in self.guards:
+            if _truth(guard(store)):
+                break
+            i += 1
+        fam = self.gate.families[i]
+        fire = self.bound.get((i, width))
+        if fire is None:
+            fire = self.bound[i, width] = bind_outcomes(fam, self.gate.wires, width)
+        return fam, fire(amps, scratch)
+
+
 @dataclass
 class PreparedProgram:
     """A ground program, its circuit, the circuit's decomposition tree
-    and a checked schedule, in firing order.  It holds no state vector,
-    so it is cheap to keep and reuse."""
+    and a checked schedule, in firing order, with the gate tape that the
+    walk fires from.  ``tape`` maps the id of each gate that has fired
+    to its compiled gate (``_TapeGate``), made when the gate first
+    fires; the copies that ``with_schedule`` makes share it.  The
+    program holds no state vector, so it is cheap to keep and reuse."""
     program: ast.Program
     registry: Registry
     circuit: GeneralizedCircuit
     tree: circuit_mod.DecompTree | None
     schedule: Schedule
+    tape: dict[Gid, _TapeGate] = field(default_factory=dict, repr=False, compare=False)
     firing: tuple[tuple[int, Gate], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -111,7 +153,8 @@ class PreparedProgram:
         return initial_state(self.program, self.registry, self.circuit.width)
 
     def with_schedule(self, schedule: Schedule) -> PreparedProgram:
-        """The same program fired in another (checked) schedule."""
+        """The same program fired in another (checked) schedule, from the
+        same tape."""
         return replace(self, schedule=schedule)
 
 
@@ -189,17 +232,10 @@ def _prepared(program: ast.Program | PreparedProgram, bindings: dict | None,
 # firing gates
 # ---------------------------------------------------------------------------
 
-def _guard_value(e: ast.Expr, store) -> bool:
-    v = ast.eval_runtime(e, store)
+def _truth(v) -> bool:
     if not isinstance(v, bool):
         raise SimulationError(f"guard value must be a truth value, got {v!r}")
     return v
-
-
-def _family(gate: Gate, store) -> MeasurementFamily:
-    """The family ``gate`` applies: the first whose guard holds, else the last."""
-    return next((f for g, f in zip(gate.guards, gate.families) if _guard_value(g, store)),
-                gate.families[-1])
 
 
 def _cdf(outcomes) -> tuple[list[float], list[int]]:
@@ -254,7 +290,7 @@ def _classical_updates(r: ast.Rule, store: dict) -> dict:
         return {key: ast.eval_runtime(r.value, store)}
     if isinstance(r, ast.ClassicalCond):
         for g, b in zip(r.guards, r.branches):
-            if _guard_value(g, store):
+            if _truth(ast.eval_runtime(g, store)):
                 return _classical_updates(b, store)
         if len(r.branches) > len(r.guards):
             return _classical_updates(r.branches[-1], store)
@@ -305,13 +341,17 @@ def _walk(prep: PreparedProgram, state: QuantumState, follow, slot=None):
     store, probability, path, slot) in visiting order; a path is the
     linked tuple (path, step, gate, family name, label), ending in None.
 
-    The caller builds ``state`` for the walk and hands it over.  Each
-    stack entry owns its amplitude array: a single-outcome diagonal
-    scales it in place, any other outcome is written into a scratch
-    buffer, and the array that gate read, now dead, is the next scratch
-    (``qmath.outcome_vectors_into``).  A leaf's array is frozen when it
-    is yielded and is never written again."""
+    Each gate fires from the program's tape (``_TapeGate.fire``), with
+    kernels bound to the width of ``state``.  The caller builds
+    ``state`` for the walk and hands it over.  Each stack entry owns its
+    amplitude array: a single-outcome diagonal scales it in place, any
+    other outcome is written into a scratch buffer, and the array that
+    gate read, now dead, is the next scratch (``qmath.bind_outcomes``).
+    A leaf's array is frozen when it is yielded and is never written
+    again."""
     firing = prep.firing
+    tape = [prep.tape.get(gate.gid) or prep.tape.setdefault(gate.gid, _TapeGate(gate))
+            for _step, gate in firing]
     width = state.width
     amps = state.amplitudes
     amps.setflags(write=True)
@@ -333,8 +373,7 @@ def _walk(prep: PreparedProgram, state: QuantumState, follow, slot=None):
             yield QuantumState._unchecked(width, amps), store, prob, path, slot
             continue
         step, gate = firing[k]
-        fam = _family(gate, store)
-        outs = outcome_vectors_into(amps, width, fam, gate.wires, scratch)
+        fam, outs = tape[k].fire(store, amps, width, scratch)
         if outs[0].vector is not amps:
             spare = amps
         for out in reversed(follow(gate, fam, outs, prob, slot)):
@@ -387,12 +426,14 @@ def enumerate_branches(program: ast.Program | PreparedProgram,
     A branch is pruned (its mass accumulated, not explored) when its
     probability falls below max(min_prob, 1e-12).
     """
-    return _enumerate(_prepared(program, bindings, registry, schedule),
-                      min_prob, max_branches)
+    prep = _prepared(program, bindings, registry, schedule)
+    return _enumerate(prep, prep.input_state(), min_prob, max_branches)
 
 
-def _enumerate(prep: PreparedProgram, min_prob: float = 0.0,
+def _enumerate(prep: PreparedProgram, state: QuantumState, min_prob: float = 0.0,
                max_branches: int = DEFAULT_MAX_BRANCHES) -> Enumeration:
+    """``enumerate_branches`` of a prepared program from ``state``, which
+    the walk takes over."""
     floor = max(min_prob, 0.0)
 
     def follow(gate, fam, outs, prob, slot):
@@ -402,7 +443,7 @@ def _enumerate(prep: PreparedProgram, min_prob: float = 0.0,
 
     branches: list[Branch] = []
     pruned = 0.0  # summed in visiting order, which fixes its last bits
-    for leaf in _walk(prep, prep.input_state(), follow):
+    for leaf in _walk(prep, state, follow):
         if isinstance(leaf, float):
             pruned += leaf
             continue
@@ -497,15 +538,18 @@ def check_schedule_independence(program: ast.Program | PreparedProgram,
     """Enumerate under every schedule and require identical branch sets:
     same outcome assignments, probabilities within atol, equal stores,
     and amplitude-wise equal final states.  Returns the number of
-    schedules checked; raises SimulationError on any disagreement."""
+    schedules checked; raises SimulationError on any disagreement.  The
+    input state is built once, and each schedule's walk takes a copy."""
     prep = _prepared(program, bindings, registry, None)
     if schedules is None:
         schedules = circuit_mod.all_schedules(prep.circuit)
     if not schedules:
         raise SimulationError("no schedules to compare")
+    state = prep.input_state()
     reference: dict | None = None
     for schedule in schedules:
-        enum = _enumerate(prep.with_schedule(schedule), min_prob)
+        copy = QuantumState._unchecked(state.width, state.amplitudes.copy())
+        enum = _enumerate(prep.with_schedule(schedule), copy, min_prob)
         table = {b.outcomes: b for b in enum.branches}
         if len(table) != len(enum.branches):
             raise SimulationError("duplicate outcome assignment within one schedule")

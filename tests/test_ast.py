@@ -52,6 +52,19 @@ def test_division_by_zero():
         ev("1 mod 0")
 
 
+def test_integers_are_bounded_before_they_grow():
+    bits = A.MAX_INT_BITS
+    assert ev(f"2 ^ {bits - 1}").bit_length() == bits
+    assert ev(f"2 ^ {bits // 2} * 2 ^ {bits // 2 - 1}").bit_length() == bits
+    assert ev(f"(0 - 1) ^ (2 ^ {bits - 1})") == 1 and ev(f"0 * 2 ^ {bits - 1}") == 0
+    for text in (f"2 ^ {bits}", "3 ^ (2 ^ 64)", f"2 ^ {bits - 1} * 2",
+                 f"2 ^ {bits - 1} + 2 ^ {bits - 1}", f"0 - 2 ^ {bits - 1} - 2 ^ {bits - 1}"):
+        with pytest.raises(ElaborationError, match=f"exceeds {bits} bits"):
+            ev(text)
+    with pytest.raises(SimulationError, match=f"exceeds {bits} bits"):
+        A.eval_runtime(expr("x * x"), {"x": 2 ** (bits // 2 + 1)})
+
+
 def test_xor_is_bitwise_on_bits_only():
     assert ev("1 xor 1") == 0
     assert ev("1 xor 0") == 1
@@ -264,13 +277,18 @@ def count_validations(monkeypatch) -> list:
 
 def test_elaboration_checks_each_family_once(monkeypatch):
     names = count_validations(monkeypatch)
+    # Library gates and their controlled forms are complete by
+    # construction: elaboration checks none of them.
     A.elaborate(corpus_program("qft"), {"n": 8})
-    # cR_k resolves R_k first, then builds and checks the controlled form.
-    rotations = [f"{c}R_{k}" for k in range(2, 9) for c in ("", "c")]
-    assert sorted(names) == sorted(["H", "SWAP", *rotations])
-    names.clear()
     A.elaborate(corpus_program("grover"), {"n": 6, "N": 64, "m": 45})
-    assert sorted(names) == ["H", "mark_(6,45)", "reflect0_6"]
+    assert names == []
+    # The controlled form of a registered family, and a power, are each
+    # checked once however many gates use them.
+    reg = Q.Registry()
+    reg.register_family(Q.unitary_family("U", Q._H))
+    names.clear()
+    A.elaborate(parse("cU(1, 2); cU(2, 1); X_pow(2)(1); X_pow(2)(2)"), registry=reg)
+    assert sorted(names) == ["X^4", "cU"]
 
 
 def test_controlled_gates_are_not_tested_for_unitarity(monkeypatch):

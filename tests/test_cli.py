@@ -92,6 +92,16 @@ def test_out_of_memory_is_an_error_not_a_traceback(monkeypatch, capsys, error, m
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [("run",), ("run", "--format", "text"), ("enumerate",)])
+def test_huge_integer_is_an_error_not_a_traceback(tmp_path, capsys, argv):
+    # 2^(2^14) has 4 933 digits, more than CPython converts to text.
+    prog = tmp_path / "huge.qcasm"
+    prog.write_text("x := 2^(2^14); H(1)\n")
+    code, out, err = run_cli(*argv, str(prog), capsys=capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: operator '^': result exceeds {ast.MAX_INT_BITS} bits\n"
+
+
 def test_missing_program_file(capsys):
     code, _, err = run_cli("check", "/no/such/file.qcasm", capsys=capsys)
     assert code == 2

@@ -240,6 +240,30 @@ def test_validate_family_complete_is_none():
     assert Q.validate_family(Q.std_gate("QFT", [3])) is None
 
 
+LIBRARY_GRID = (
+    [(name, ()) for name in ("I", "H", "X", "Y", "Z", "SWAP", "CNOT", "SM", "PM")]
+    + [("R", (k,)) for k in range(1, 13)]
+    + [(name, (n,)) for name in ("QFT", "QFTdg") for n in range(1, 7)]
+    + [("mark", (n, m)) for n in range(1, 6) for m in range(2**n)]
+    + [("reflect0", (n,)) for n in range(1, 7)]
+)
+
+
+def test_library_families_are_complete():
+    # The library builds its families, their c forms and the identity
+    # defaults without the completeness check, so the check runs here.
+    reg = Q.Registry()
+    for name, params in LIBRARY_GRID:
+        fam = reg.family(name, params)
+        assert Q.validate_family(fam) is None, fam.name
+        if fam.is_unitary:
+            cfam = reg.family("c" + name, params)
+            assert cfam.name == "c" + fam.name
+            assert Q.validate_family(cfam) is None, cfam.name
+    for arity in range(1, 5):
+        assert Q.validate_family(Q.identity_family(arity)) is None
+
+
 def test_validate_family_reports_worst_entry():
     fam = Q.MeasurementFamily("lossy", 1, (Q.Outcome(0, np.diag([1.0, 0.5])),))
     diag = Q.validate_family(fam)

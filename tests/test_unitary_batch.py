@@ -96,8 +96,8 @@ def test_number_of_walks(monkeypatch, n):
 @pytest.mark.parametrize("n", [9, 10])
 def test_peak_memory_is_two_matrices(n):
     # A walk holds at most four states of a quarter of the matrix each
-    # (its state, the scratch buffer and tensordot's two temporaries),
-    # next to the matrix being filled.
+    # (its state, the scratch buffer and a dense kernel's transposed copy
+    # and product), next to the matrix being filled.
     prep = S.prepare(corpus_program("qft"), {"n": n})
     tracemalloc.start()
     try:
