@@ -424,10 +424,9 @@ def _layout(wires: tuple[int, ...], width: int):
 
 _ALL = slice(None)
 
-Kernel = Callable[[np.ndarray, Union[np.ndarray, None]], np.ndarray]
 
-
-def bind_operator(op: np.ndarray | Structure, wires: Sequence[int], width: int) -> Kernel:
+def bind_operator(op: np.ndarray | Structure, wires: Sequence[int], width: int
+                  ) -> Callable[[np.ndarray, np.ndarray | None], np.ndarray]:
     """``apply_operator`` of ``op`` on ``wires`` of a ``width``-wire
     state, bound once: the wires and the operator's shape are checked
     here, and the views, slice tuples and contraction axes are computed
@@ -438,11 +437,11 @@ def bind_operator(op: np.ndarray | Structure, wires: Sequence[int], width: int) 
     kind, matrix, data, diagonal = op if isinstance(op, Structure) else ("dense", op, None, False)
     if matrix.shape != (2**k, 2**k):
         raise InvalidFamilyError(f"operator of shape {matrix.shape} does not act on {k} wires")
-    shape = (2,) * width
     if kind == "dense":
         # np.tensordot's own steps, with its axes worked out here: the
         # gate's axes go first, the operator multiplies them by np.dot,
         # and the product's axes go back to wire order.
+        shape = (2,) * width
         axes = [w - 1 for w in ws]
         order = axes + [a for a in range(width) if a not in axes]
         back = tuple(sorted(range(width), key=order.__getitem__))
