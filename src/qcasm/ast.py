@@ -74,8 +74,11 @@ def _is_int(v) -> bool:
 
 
 # The largest bit length of an integer the classical language makes.
-# 2**MAX_INT_BITS has 4 215 decimal digits, and CPython converts ints of
-# at most 4 300 digits to text, so every value stays printable.
+# 2**MAX_INT_BITS has 4 215 decimal digits, so every value stays
+# printable under CPython's default limit of 4 300 digits for int-to-text
+# conversion.  A process that lowers that limit (PYTHONINTMAXSTRDIGITS,
+# -X int_max_str_digits, sys.set_int_max_str_digits) can still fail to
+# print a value of fewer bits.
 MAX_INT_BITS = 14_000
 
 
@@ -235,32 +238,14 @@ def eval_static(e: Expr, env: Mapping[str, int], registry: Registry | None = Non
 
 def eval_runtime(e: Expr, store: Mapping[str, int]):
     """Evaluate an expression against the classical store at run time."""
-    if isinstance(e, IntLit):
-        return e.value
-    if isinstance(e, Name):
-        if e.ident in store:
-            return store[e.ident]
-        raise SimulationError(f"variable {e.ident!r} has no value")
-    if isinstance(e, BinOp):
-        return _apply_binop(e.op, eval_runtime(e.left, store), eval_runtime(e.right, store))
-    if isinstance(e, UnOp):
-        return _apply_unop(e.op, eval_runtime(e.operand, store))
-    if isinstance(e, Call):
-        if e.fn in STATIC_FUNCTIONS:
-            return STATIC_FUNCTIONS[e.fn](*[eval_runtime(a, store) for a in e.args])
-        key = dynamic_key(e.fn, tuple(eval_runtime(a, store) for a in e.args))
-        if key in store:
-            return store[key]
-        raise SimulationError(f"dynamic function value {key!r} has no value")
-    raise SimulationError(f"cannot evaluate {e!r}")
+    return compile_runtime(e)(store)
 
 
 def compile_runtime(e: Expr) -> Callable[[Mapping[str, int]], object]:
-    """``e`` compiled once into a function of the store that returns
-    ``eval_runtime(e, store)``, or raises what it raises: operands are
-    evaluated left to right and combined by the same ``_apply_binop``
-    and ``_apply_unop``, and an expression that cannot be evaluated
-    fails only when it is called."""
+    """``e`` compiled once into a function of the classical store that
+    evaluates it: operands left to right, combined by ``_apply_binop``
+    and ``_apply_unop``.  Compiling never fails; an expression that
+    cannot be evaluated fails when it is called."""
     if isinstance(e, IntLit):
         value = e.value
         return lambda store: value

@@ -32,10 +32,11 @@ Conventions used throughout the package:
   uses the last two (``bind_outcomes`` with a scratch buffer), so a
   gather allocates no state-sized array there (a dense gate keeps the
   transposed copy and the product).
-* Library families (``STD_GATES``, their ``c`` forms, ``I_k``) are
-  complete by construction and are built without the completeness
-  check; ``make_family``, ``unitary_family``, ``family_power`` and
-  registered families keep it.
+* Library families (``STD_GATES``, ``I_k``) and every ``c`` form are
+  complete by construction (a ``c`` form exactly as complete as the
+  family it controls) and are built without the completeness check;
+  ``make_family``, ``unitary_family``, ``family_power`` and
+  ``register_family`` keep it.
 * A taken outcome A_i |s> is divided by its norm, except for a
   single-outcome family whose squared norm is already within
   ``UNIT_NORM_SLACK`` of 1: a unitary leaves the state normalized to
@@ -309,11 +310,13 @@ def unitary_family(name: str, matrix) -> MeasurementFamily:
     return make_family(name, k, [(0, op)])
 
 
-def _library_unitary(name: str, matrix: np.ndarray) -> MeasurementFamily:
-    """A one-outcome family of the gate library, whose matrix is unitary
-    by construction (up to rounding far below ATOL), so it is built
-    without make_family's O(d**3) completeness check.  The tests run
-    that check over every builder."""
+def _unchecked_unitary(name: str, matrix: np.ndarray) -> MeasurementFamily:
+    """A one-outcome family whose matrix is unitary by construction (up
+    to rounding far below ATOL), built without make_family's O(d**3)
+    completeness check: a library gate, whose builders the tests check
+    on a grid of parameters, or the controlled form of a family that
+    is already checked, since controlled(U)^+ controlled(U) - I is
+    diag(0, U^+ U - I) and so deviates exactly as much as U."""
     return MeasurementFamily(name, len(matrix).bit_length() - 1, (Outcome(0, matrix),))
 
 
@@ -440,7 +443,11 @@ def bind_operator(op: np.ndarray | Structure, wires: Sequence[int], width: int
     if kind == "dense":
         # np.tensordot's own steps, with its axes worked out here: the
         # gate's axes go first, the operator multiplies them by np.dot,
-        # and the product's axes go back to wire order.
+        # and the product's axes go back to wire order.  The operator
+        # goes through tensordot's reshapes too, so np.dot sees the
+        # memory order that tensordot hands it (a Fortran-ordered
+        # operator stays one), which BLAS may round differently.
+        matrix = matrix.reshape((2,) * (2 * k)).reshape(2**k, 2**k)
         shape = (2,) * width
         axes = [w - 1 for w in ws]
         order = axes + [a for a in range(width) if a not in axes]
@@ -697,26 +704,26 @@ _PM = MeasurementFamily("PM", 2, (Outcome(0, _PM_EVEN), Outcome(1, _PM_ODD)))
 
 def identity_family(arity: int) -> MeasurementFamily:
     """Identity gate on ``arity`` wires (the implicit else branch of guards)."""
-    return _library_unitary("I" if arity == 1 else f"I_{arity}", np.eye(2**arity, dtype=_COMPLEX))
+    return _unchecked_unitary("I" if arity == 1 else f"I_{arity}", np.eye(2**arity, dtype=_COMPLEX))
 
 
 # The gate library: name -> (number of integer parameters, builder that
 # takes those parameters and returns the family).
 STD_GATES: dict[str, tuple[int, Callable[..., MeasurementFamily]]] = {
     "I": (0, lambda: identity_family(1)),
-    "H": (0, lambda: _library_unitary("H", _H)),
-    "X": (0, lambda: _library_unitary("X", _X)),
-    "Y": (0, lambda: _library_unitary("Y", _Y)),
-    "Z": (0, lambda: _library_unitary("Z", _Z)),
-    "SWAP": (0, lambda: _library_unitary("SWAP", _SWAP)),
-    "CNOT": (0, lambda: _library_unitary("CNOT", controlled(_X))),
+    "H": (0, lambda: _unchecked_unitary("H", _H)),
+    "X": (0, lambda: _unchecked_unitary("X", _X)),
+    "Y": (0, lambda: _unchecked_unitary("Y", _Y)),
+    "Z": (0, lambda: _unchecked_unitary("Z", _Z)),
+    "SWAP": (0, lambda: _unchecked_unitary("SWAP", _SWAP)),
+    "CNOT": (0, lambda: _unchecked_unitary("CNOT", controlled(_X))),
     "SM": (0, lambda: _SM),
     "PM": (0, lambda: _PM),
-    "R": (1, lambda k: _library_unitary(f"R_{k}", _rotation(k))),
-    "QFT": (1, lambda n: _library_unitary(f"QFT_{n}", fourier_matrix(n))),
-    "QFTdg": (1, lambda n: _library_unitary(f"QFTdg_{n}", fourier_matrix(n).conj().T)),
-    "mark": (2, lambda n, m: _library_unitary(f"mark_({n},{m})", _mark_matrix(n, m))),
-    "reflect0": (1, lambda n: _library_unitary(f"reflect0_{n}", _reflect0_matrix(n))),
+    "R": (1, lambda k: _unchecked_unitary(f"R_{k}", _rotation(k))),
+    "QFT": (1, lambda n: _unchecked_unitary(f"QFT_{n}", fourier_matrix(n))),
+    "QFTdg": (1, lambda n: _unchecked_unitary(f"QFTdg_{n}", fourier_matrix(n).conj().T)),
+    "mark": (2, lambda n, m: _unchecked_unitary(f"mark_({n},{m})", _mark_matrix(n, m))),
+    "reflect0": (1, lambda n: _unchecked_unitary(f"reflect0_{n}", _reflect0_matrix(n))),
 }
 
 
@@ -780,20 +787,14 @@ class Registry:
             base = self.family(name[1:], params)
             if not base.is_unitary:
                 raise InvalidFamilyError(f"cannot control the multi-outcome family {base.name!r}")
-            # The controlled form of a library gate is a library gate;
-            # that of a registered family is checked.
-            build = unitary_family if self._root(name) in self.families else _library_unitary
-            return build("c" + base.name, controlled(base.outcomes[0].operator))
+            # complete exactly when base is (see _unchecked_unitary)
+            return _unchecked_unitary("c" + base.name, controlled(base.outcomes[0].operator))
         raise UnknownNameError(f"unknown gate or measurement {name!r}")
 
-    def _root(self, name: str) -> str:
-        """``name`` without the leading "c"s that ``family`` strips."""
-        while name.startswith("c") and name not in self.families and name not in STD_GATES:
-            name = name[1:]
-        return name
-
     def knows_gate(self, name: str) -> bool:
-        base = self._root(name)
+        base = name
+        while base.startswith("c") and base not in self.families and base not in STD_GATES:
+            base = base[1:]
         return bool(base) and (base in self.families or base in STD_GATES)
 
 

@@ -1,10 +1,11 @@
 """Executing programs on a dense state-vector simulator.
 
 A prepared program pairs the lowered circuit with a schedule and with
-its gate tape: per gate that has fired, the guards compiled once into
-closures and, per family and state width, the outcome kernels bound to
-the gate's wires on first use.  The tape depends only on the circuit, so the
-copies that ``with_schedule`` makes share it.  Execution walks the
+its gate tape: per gate, the guards compiled into closures when the
+first walk starts and, per family and state width, the outcome kernels
+bound to the gate's wires the first time that family fires at that
+width.  The tape depends only on the circuit, so the copies that
+``with_schedule`` makes share it.  Execution walks the
 schedule bout by bout; inside a bout gates fire in ascending id order.
 Firing a gate evaluates its guards against the classical store,
 selects a measurement family and applies each of its outcome operators
@@ -17,8 +18,9 @@ by extra trailing wires of one state).  ``run``, ``enumerate_branches``
 and ``sample_distribution`` build the declared input state afresh for
 their walk; ``check_schedule_independence`` builds it once and walks a
 copy per schedule.  After the last gate the classical rules of the
-program run: sequential parts apply in order, parallel parts all read
-the same snapshot and their writes must agree.
+program run, compiled once like the guards: sequential parts apply in
+order, parallel parts all read the same snapshot and their writes must
+agree.
 
 Sampling draws one uniform variate per gate from ``random.Random(seed)``
 (a fixed, platform-independent generator) and inverts the outcome CDF in
@@ -130,16 +132,19 @@ class _TapeGate:
 class PreparedProgram:
     """A ground program, its circuit, the circuit's decomposition tree
     and a checked schedule, in firing order, with the gate tape that the
-    walk fires from.  ``tape`` maps the id of each gate that has fired
-    to its compiled gate (``_TapeGate``), made when the gate first
-    fires; the copies that ``with_schedule`` makes share it.  The
-    program holds no state vector, so it is cheap to keep and reuse."""
+    walk fires from.  ``tape`` maps the id of each gate to its compiled
+    gate (``_TapeGate``), made for every gate when the first walk
+    starts; the copies that ``with_schedule`` makes share it.
+    ``classical`` is the program's classical pass, compiled the first
+    time it runs.  The program holds no state vector, so it is cheap to
+    keep and reuse."""
     program: ast.Program
     registry: Registry
     circuit: GeneralizedCircuit
     tree: circuit_mod.DecompTree | None
     schedule: Schedule
     tape: dict[Gid, _TapeGate] = field(default_factory=dict, repr=False, compare=False)
+    classical: Callable[[dict], dict] | None = field(default=None, repr=False, compare=False)
     firing: tuple[tuple[int, Gate], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -151,6 +156,15 @@ class PreparedProgram:
     def input_state(self) -> QuantumState:
         """The declared input state, built afresh on each call."""
         return initial_state(self.program, self.registry, self.circuit.width)
+
+    def run_classical(self, store: dict) -> dict:
+        """``store`` updated by the program's classical rules, which are
+        compiled (``_compile_classical``) the first time they run."""
+        if self.classical is None:
+            self.classical = _compile_classical(self.program.body)
+        out = dict(store)
+        out.update(self.classical(out))
+        return out
 
     def with_schedule(self, schedule: Schedule) -> PreparedProgram:
         """The same program fired in another (checked) schedule, from the
@@ -276,49 +290,66 @@ def _pick_all(cdf: tuple[list[float], list[int]], us: np.ndarray) -> np.ndarray:
 # the classical pass
 # ---------------------------------------------------------------------------
 
-def _classical_updates(r: ast.Rule, store: dict) -> dict:
+def _compile_classical(r: ast.Rule) -> Callable[[dict], dict]:
+    """The classical rules of ``r`` compiled once into a function of the
+    store that returns the updates they make; expressions are compiled
+    by ``ast.compile_runtime``, so every error shows when it is called."""
     if isinstance(r, (ast.GateRule, ast.Skip)):
-        return {}
+        return lambda store: {}
     if isinstance(r, ast.ClassicalAssign):
-        args = []
-        for a in r.target_args:
-            v = ast.eval_runtime(a, store)
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise SimulationError("dynamic function arguments must be integers")
-            args.append(v)
-        key = ast.dynamic_key(r.target, tuple(args))
-        return {key: ast.eval_runtime(r.value, store)}
+        target, value = r.target, ast.compile_runtime(r.value)
+        target_args = tuple(ast.compile_runtime(a) for a in r.target_args)
+
+        def assign(store):
+            args = []
+            for a in target_args:
+                v = a(store)
+                if isinstance(v, bool) or not isinstance(v, int):
+                    raise SimulationError("dynamic function arguments must be integers")
+                args.append(v)
+            return {ast.dynamic_key(target, tuple(args)): value(store)}
+        return assign
     if isinstance(r, ast.ClassicalCond):
-        for g, b in zip(r.guards, r.branches):
-            if _truth(ast.eval_runtime(g, store)):
-                return _classical_updates(b, store)
-        if len(r.branches) > len(r.guards):
-            return _classical_updates(r.branches[-1], store)
-        return {}
+        guards = tuple(ast.compile_runtime(g) for g in r.guards)
+        branches = tuple(_compile_classical(b) for b in r.branches)
+
+        def cond(store):
+            for g, b in zip(guards, branches):
+                if _truth(g(store)):
+                    return b(store)
+            if len(branches) > len(guards):
+                return branches[-1](store)
+            return {}
+        return cond
     if isinstance(r, ast.Sequential):
-        current = dict(store)
-        acc: dict = {}
-        for p in r.parts:
-            up = _classical_updates(p, current)
-            current.update(up)
-            acc.update(up)
-        return acc
+        parts = tuple(_compile_classical(p) for p in r.parts)
+
+        def sequential(store):
+            current = dict(store)
+            acc: dict = {}
+            for p in parts:
+                up = p(current)
+                current.update(up)
+                acc.update(up)
+            return acc
+        return sequential
     if isinstance(r, ast.Parallel):
-        acc = {}
-        for b in r.bodies:
-            up = _classical_updates(b, store)
-            for k, v in up.items():
-                if k in acc and acc[k] != v:
-                    raise SimulationError(f"parallel rules write different values to {k!r}")
-            acc.update(up)
-        return acc
-    raise SimulationError(f"cannot execute rule {type(r).__name__}")
+        bodies = tuple(_compile_classical(b) for b in r.bodies)
 
+        def parallel(store):
+            acc: dict = {}
+            for b in bodies:
+                up = b(store)
+                for k, v in up.items():
+                    if k in acc and acc[k] != v:
+                        raise SimulationError(f"parallel rules write different values to {k!r}")
+                acc.update(up)
+            return acc
+        return parallel
 
-def _run_classical(program: ast.Program, store: dict) -> dict:
-    out = dict(store)
-    out.update(_classical_updates(program.body, out))
-    return out
+    def fail(store):
+        raise SimulationError(f"cannot execute rule {type(r).__name__}")
+    return fail
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +427,7 @@ def _branch(prep: PreparedProgram, leaf) -> Branch:
         path, step, gate, name, label = path
         outcomes.append((gate.gid, label))
         trace.append(QueryTraceEntry(step, name, gate.wires, label))
-    return Branch(tuple(sorted(outcomes)), _run_classical(prep.program, store),
+    return Branch(tuple(sorted(outcomes)), prep.run_classical(store),
                   prob, state, tuple(reversed(trace)))
 
 
@@ -505,7 +536,7 @@ def sample_distribution(program: ast.Program | PreparedProgram, shots: int,
         leaves = []
         for _state, store, _prob, path, taken in _walk(prep, prep.input_state(), follow,
                                                         np.arange(size)):
-            _run_classical(prep.program, store)  # a shot that run() rejects fails here too
+            prep.run_classical(store)  # a shot that run() rejects fails here too
             key = []
             while path is not None:
                 path, _step, gate, _name, label = path

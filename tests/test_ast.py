@@ -282,17 +282,23 @@ def test_elaboration_checks_each_family_once(monkeypatch):
     A.elaborate(corpus_program("qft"), {"n": 8})
     A.elaborate(corpus_program("grover"), {"n": 6, "N": 64, "m": 45})
     assert names == []
-    # The controlled form of a registered family, and a power, are each
-    # checked once however many gates use them.
+    # A registered family is checked when it is registered, and its
+    # controlled forms, as complete as it is, are not checked again.  A
+    # power is checked once however many gates use it.
     reg = Q.Registry()
-    reg.register_family(Q.unitary_family("U", Q._H))
+    fam = Q.unitary_family("U", Q._H)
     names.clear()
-    A.elaborate(parse("cU(1, 2); cU(2, 1); X_pow(2)(1); X_pow(2)(2)"), registry=reg)
-    assert sorted(names) == ["X^4", "cU"]
+    reg.register_family(fam)
+    assert names == ["U"]
+    names.clear()
+    A.elaborate(parse("cU(1, 2); cU(2, 1); ccU(3, 1, 2); X_pow(2)(1); X_pow(2)(2)"),
+                registry=reg)
+    assert names == ["X^4"]
 
 
 def test_controlled_gates_are_not_tested_for_unitarity(monkeypatch):
-    # Each cR_k is checked once, by the completeness check of its family.
+    # cR_k is built from R_k's matrix with no unitarity test (and, being
+    # a library gate's controlled form, with no completeness check).
     tested = []
     is_unitary = Q.is_unitary_matrix
     monkeypatch.setattr(Q, "is_unitary_matrix",
