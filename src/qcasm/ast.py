@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping, Union
 
@@ -77,14 +78,34 @@ def _is_int(v) -> bool:
 # 2**MAX_INT_BITS has 4 215 decimal digits, so every value stays
 # printable under CPython's default limit of 4 300 digits for int-to-text
 # conversion.  A process that lowers that limit (PYTHONINTMAXSTRDIGITS,
-# -X int_max_str_digits, sys.set_int_max_str_digits) can still fail to
-# print a value of fewer bits.
+# -X int_max_str_digits, sys.set_int_max_str_digits) lowers the bound
+# with it (``max_int_bits``).
 MAX_INT_BITS = 14_000
 
 
+def int_str_digits() -> int:
+    """CPython's limit on the digits of an int converted from or to text;
+    0 means no limit (as before Python 3.10.7, which has none)."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return get() if get is not None else 0
+
+
+def max_int_bits() -> int:
+    """The bound on the bit length of an integer: MAX_INT_BITS, or fewer
+    bits where the int-to-text limit is lower, so that every value
+    prints.  A value of b bits has at most floor(b log10(2)) + 1 digits."""
+    digits = int_str_digits()
+    return min(MAX_INT_BITS, int((digits - 1) * math.log2(10))) if digits else MAX_INT_BITS
+
+
+def _too_long(op: str, err, bits: int):
+    return err(f"operator {op!r}: result exceeds {bits} bits")
+
+
 def _bounded(v: int, op: str, err):
-    if v.bit_length() > MAX_INT_BITS:
-        raise err(f"operator {op!r}: result exceeds {MAX_INT_BITS} bits")
+    bits = max_int_bits()
+    if v.bit_length() > bits:
+        raise _too_long(op, err, bits)
     return v
 
 
@@ -99,8 +120,9 @@ def _apply_binop(op: str, a, b, err=SimulationError):
     if op == "*":
         # Nonzero operands of la and lb bits make a product of at least
         # la + lb - 1 bits, so one past the bound is refused uncomputed.
-        if a and b and a.bit_length() + b.bit_length() - 1 > MAX_INT_BITS:
-            raise err(f"operator {op!r}: result exceeds {MAX_INT_BITS} bits")
+        bits = max_int_bits()
+        if a and b and a.bit_length() + b.bit_length() - 1 > bits:
+            raise _too_long(op, err, bits)
         return _bounded(a * b, op, err)
     if op == "mod":
         if b == 0:
@@ -119,8 +141,9 @@ def _apply_binop(op: str, a, b, err=SimulationError):
             raise err(f"power needs a non-negative exponent, got {b}")
         # |a| >= 2 of l bits makes a power of more than b * (l - 1) bits,
         # so one past the bound is refused uncomputed.
-        if abs(a) > 1 and b * (a.bit_length() - 1) >= MAX_INT_BITS:
-            raise err(f"operator {op!r}: result exceeds {MAX_INT_BITS} bits")
+        bits = max_int_bits()
+        if abs(a) > 1 and b * (a.bit_length() - 1) >= bits:
+            raise _too_long(op, err, bits)
         return _bounded(a**b, op, err)
     if op == "<":
         return a < b

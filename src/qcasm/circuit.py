@@ -368,9 +368,9 @@ def check_schedule(circuit: GeneralizedCircuit, schedule: Schedule) -> None:
             if gid in seen:
                 raise ScheduleError(f"gate {gid} appears twice")
             seen[gid] = i
-    missing = set(circuit.gids) - set(seen)
-    extra = set(seen) - set(circuit.gids)
-    if missing or extra:
+    if seen.keys() != circuit._by_gid.keys():
+        missing = set(circuit.gids) - set(seen)
+        extra = set(seen) - set(circuit.gids)
         raise ScheduleError(f"schedule does not partition the gates "
                             f"(missing {sorted(missing)}, extra {sorted(extra)})")
     # Direct prerequisites that fire earlier imply both closure checks below.

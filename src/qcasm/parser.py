@@ -62,6 +62,16 @@ def _operand_levels(op: str) -> tuple[int, int, int]:
     return level, level + (assoc != "left"), level + (assoc != "right")
 
 
+def _int_literal(text: str, line: int, column: int) -> int:
+    """The value of an integer literal's digits; past CPython's limit on
+    the digits that ``int`` converts, a ParseError at the literal."""
+    limit = ast.int_str_digits()
+    if limit and len(text) > limit:
+        raise ParseError(f"integer literal of {len(text)} digits exceeds the limit of "
+                         f"{limit} digits", line, column)
+    return int(text)
+
+
 @dataclass(frozen=True)
 class Token:
     kind: str  # "ident", "int", "eof", or the symbol/keyword itself
@@ -89,9 +99,9 @@ def tokenize(text: str) -> list[Token]:
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        if c.isdigit():
+        if c.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(Token("int", text[i:j], line, col))
             col += j - i
@@ -162,7 +172,8 @@ class _Parser:
             default = None
             if self.at("="):
                 self.advance()
-                default = int(self.expect("int", "an integer default").text)
+                tok = self.expect("int", "an integer default")
+                default = _int_literal(tok.text, tok.line, tok.column)
             params.append(ast.ParamDecl(name, default))
         decl = self.try_input_decl()
         body = self.seq()
@@ -366,8 +377,9 @@ class _Parser:
                 params.append(self.expr())
             self.expect(")")
             return ast.MeasurementExpr(base, tuple(params), None, phase)
-        if rest.isdigit():
-            return ast.MeasurementExpr(base, (ast.IntLit(int(rest)),), None, phase)
+        if rest.isdecimal():
+            value = _int_literal(rest, name_tok.line, name_tok.column)
+            return ast.MeasurementExpr(base, (ast.IntLit(value),), None, phase)
         if rest.isidentifier() and "_" not in rest:
             return ast.MeasurementExpr(base, (ast.Name(rest),), None, phase)
         raise ParseError(f"bad gate subscript in {name!r}", name_tok.line, name_tok.column)
@@ -473,7 +485,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "int":
             self.advance()
-            return ast.IntLit(int(tok.text))
+            return ast.IntLit(_int_literal(tok.text, tok.line, tok.column))
         if tok.kind == "ident":
             self.advance()
             if self.at("("):

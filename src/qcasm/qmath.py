@@ -660,7 +660,8 @@ def _rotation(k: int) -> np.ndarray:
     # diag(1, e^{2 pi i / 2^k}); k = 1 gives Z.
     if k < 1:
         raise InvalidFamilyError(f"R_k needs k >= 1, got {k}")
-    return np.array([[1, 0], [0, np.exp(2j * np.pi / 2**k)]], dtype=_COMPLEX)
+    # 2 pi / 2**k by its exponent: exact, with no integer 2**k to build
+    return np.array([[1, 0], [0, np.exp(1j * math.ldexp(2 * math.pi, -k))]], dtype=_COMPLEX)
 
 
 def fourier_matrix(n: int) -> np.ndarray:

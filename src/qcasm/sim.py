@@ -16,11 +16,14 @@ shots draws (``sample_distribution``), every outcome above the floor
 walks the basis columns in 4 to 8 blocks, each block's columns indexed
 by extra trailing wires of one state).  ``run``, ``enumerate_branches``
 and ``sample_distribution`` build the declared input state afresh for
-their walk; ``check_schedule_independence`` builds it once and walks a
-copy per schedule.  After the last gate the classical rules of the
-program run, compiled once like the guards: sequential parts apply in
-order, parallel parts all read the same snapshot and their writes must
-agree.
+their walk.  ``check_schedule_independence`` does not walk once per
+schedule: it builds the input state once, never writes it, and walks the
+lattice of order ideals of the prerequisite order level by level
+(``_lattice``), firing each edge of the lattice once and comparing the
+branch tables of every two edges into the same ideal.  After the last
+gate the classical rules of the program run, compiled once like the
+guards: sequential parts apply in order, parallel parts all read the
+same snapshot and their writes must agree.
 
 Sampling draws one uniform variate per gate from ``random.Random(seed)``
 (a fixed, platform-independent generator) and inverts the outcome CDF in
@@ -35,7 +38,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -165,6 +168,10 @@ class PreparedProgram:
         out = dict(store)
         out.update(self.classical(out))
         return out
+
+    def tape_gate(self, gate: Gate) -> _TapeGate:
+        """The compiled ``gate`` from the tape, made on first use."""
+        return self.tape.get(gate.gid) or self.tape.setdefault(gate.gid, _TapeGate(gate))
 
     def with_schedule(self, schedule: Schedule) -> PreparedProgram:
         """The same program fired in another (checked) schedule, from the
@@ -381,8 +388,7 @@ def _walk(prep: PreparedProgram, state: QuantumState, follow, slot=None):
     A leaf's array is frozen when it is yielded and is never written
     again."""
     firing = prep.firing
-    tape = [prep.tape.get(gate.gid) or prep.tape.setdefault(gate.gid, _TapeGate(gate))
-            for _step, gate in firing]
+    tape = [prep.tape_gate(gate) for _step, gate in firing]
     width = state.width
     amps = state.amplitudes
     amps.setflags(write=True)
@@ -429,6 +435,15 @@ def _branch(prep: PreparedProgram, leaf) -> Branch:
         trace.append(QueryTraceEntry(step, name, gate.wires, label))
     return Branch(tuple(sorted(outcomes)), prep.run_classical(store),
                   prob, state, tuple(reversed(trace)))
+
+
+def _outcomes(path) -> tuple[tuple[Gid, int], ...]:
+    """The outcome assignment of a ``_walk`` path, sorted by gate id."""
+    key = []
+    while path is not None:
+        path, _step, gate, _name, label = path
+        key.append((gate.gid, label))
+    return tuple(sorted(key))
 
 
 def run(program: ast.Program | PreparedProgram, seed: int = 0,
@@ -537,11 +552,7 @@ def sample_distribution(program: ast.Program | PreparedProgram, shots: int,
         for _state, store, _prob, path, taken in _walk(prep, prep.input_state(), follow,
                                                         np.arange(size)):
             prep.run_classical(store)  # a shot that run() rejects fails here too
-            key = []
-            while path is not None:
-                path, _step, gate, _name, label = path
-                key.append((gate.gid, label))
-            leaves.append((int(taken[0]), tuple(sorted(key)), len(taken)))
+            leaves.append((int(taken[0]), _outcomes(path), len(taken)))
         for _first, key, n in sorted(leaves):
             counts[key] = counts.get(key, 0) + n
     return counts
@@ -566,40 +577,173 @@ def check_schedule_independence(program: ast.Program | PreparedProgram,
                                 schedules: list[Schedule] | None = None,
                                 min_prob: float = 0.0,
                                 atol: float = ATOL) -> int:
-    """Enumerate under every schedule and require identical branch sets:
-    same outcome assignments, probabilities within atol, equal stores,
-    and amplitude-wise equal final states.  Returns the number of
-    schedules checked; raises SimulationError on any disagreement.  The
-    input state is built once, and each schedule's walk takes a copy."""
+    """Require every schedule to give the same branches: the same outcome
+    assignments, probabilities within ``atol``, equal stores, and
+    amplitudes within ``atol + 1e-5 * |reference|`` (the rule of
+    ``np.allclose``).  Returns the number of schedules checked; raises
+    SimulationError on any disagreement, naming the order ideal where two
+    firing orders first differ and the two gates fired last.
+
+    Every schedule fires its gates along a maximal chain of the lattice
+    of order ideals of the prerequisite order, so the check walks that
+    lattice level by level (``_lattice``) instead of enumerating once
+    per schedule: each ideal's branch table is made once, from the
+    first edge that reaches it, and each other edge into it is fired
+    and compared with that table.  With ``schedules=None`` every edge is
+    checked, and the schedules are counted over the ideals: N(S) is the
+    sum of N(S | B) over the nonempty sets B of gates ready at S, which
+    is ``len(circuit.all_schedules(...))``.  A given list is checked
+    schedule by schedule (``circuit.check_schedule``) and then on the
+    edges that its schedules pass through."""
     prep = _prepared(program, bindings, registry, None)
-    if schedules is None:
-        schedules = circuit_mod.all_schedules(prep.circuit)
-    if not schedules:
+    if schedules is not None and not schedules:
         raise SimulationError("no schedules to compare")
+    readies: dict[int, tuple[int, ...]] = {}
+    for level in _lattice(prep, schedules, min_prob, atol):
+        readies.update((s, ideal.ready) for s, ideal in level.items())
+    return len(schedules) if schedules is not None else _count_schedules(readies)
+
+
+class _Ideal(NamedTuple):
+    """An order ideal of the prerequisite order in the lattice walk."""
+    ready: tuple[int, ...]  # the gates that can fire next, as ascending indices
+    table: dict  # its branch table
+    chain: tuple | None  # the gates that made the table, linked as (chain, gid)
+
+
+def _lattice(prep: PreparedProgram, schedules: list[Schedule] | None,
+             min_prob: float, atol: float):
+    """Yield the levels of the lattice of order ideals of ``prep``'s
+    prerequisite order, each a dict {ideal: _Ideal}, from the empty
+    ideal up; an ideal is a bit mask over ``circuit.gates``.  Every edge
+    (ideal, gate) is walked, or, given ``schedules``, each of which is
+    checked, only the edges that they fire along, gate by gate in the
+    order of each bout.
+
+    A table maps a branch's key to (probability, store, amplitudes,
+    path), the path linked as in ``_walk``.  The key packs the label of
+    each gate that the branch has fired into bits of its own, so every
+    chain into an ideal keys its branches alike.  The empty ideal's
+    table has one branch: the input state, built once and never written,
+    with key 0 (no outcomes), an empty store and probability 1.  The
+    ideal S | {g} gets its table from the first edge that reaches it: g
+    fires from the tape (``_TapeGate.fire`` with no scratch, so every
+    outcome vector is new) on each branch of S, and outcomes are pruned
+    as ``enumerate_branches`` prunes them.  Each later edge into it is
+    fired the same way and compared with that table.  On the last ideal
+    every store also goes through the classical pass, as in ``_branch``.
+    The walk holds the tables of two levels."""
+    gates = prep.circuit.gates
+    index = {g.gid: i for i, g in enumerate(gates)}
+    edges = None
+    if schedules is not None:
+        edges = set()
+        for schedule in schedules:
+            circuit_mod.check_schedule(prep.circuit, schedule)
+            ideal = 0
+            for bout in schedule:
+                for gid in bout:
+                    edges.add((ideal, index[gid]))
+                    ideal |= 1 << index[gid]
+    needs = [sum(1 << index[p] for p in prep.circuit.prereq[g.gid]) for g in gates]
+    succs: list[list[int]] = [[] for _ in gates]
+    for i, g in enumerate(gates):
+        for p in prep.circuit.prereq[g.gid]:
+            succs[index[p]].append(i)
+    tape = [prep.tape_gate(g) for g in gates]
+    codes, shift = [], 0
+    for g in gates:
+        labels = sorted({label for f in g.families for label in f.labels})
+        codes.append({label: j << shift for j, label in enumerate(labels, 1)})
+        shift += len(labels).bit_length()
+    floor = max(min_prob, 0.0)
+    full = (1 << len(gates)) - 1
     state = prep.input_state()
-    reference: dict | None = None
-    for schedule in schedules:
-        copy = QuantumState._unchecked(state.width, state.amplitudes.copy())
-        enum = _enumerate(prep.with_schedule(schedule), copy, min_prob)
-        table = {b.outcomes: b for b in enum.branches}
-        if len(table) != len(enum.branches):
-            raise SimulationError("duplicate outcome assignment within one schedule")
-        if reference is None:
-            reference = table
-            continue
-        if set(table) != set(reference):
-            raise SimulationError(
-                f"schedule {schedule} produces a different set of outcome assignments")
-        for key, b in table.items():
-            r = reference[key]
-            if abs(b.probability - r.probability) > atol:
-                raise SimulationError(
-                    f"branch {key}: probability {b.probability} != {r.probability}")
-            if b.store != r.store:
-                raise SimulationError(f"branch {key}: classical stores differ")
-            if not np.allclose(b.state.amplitudes, r.state.amplitudes, atol=atol):
-                raise SimulationError(f"branch {key}: final states differ")
-    return len(schedules)
+    width = state.width
+
+    def fire(table: dict, i: int, step: int, last: bool):
+        gate, code = gates[i], codes[i]
+        for key, (prob, store, amps, path) in table.items():
+            fam, outs = tape[i].fire(store, amps, width, None)
+            for out in outs:
+                if out.probability <= PRUNE_EPS or prob * out.probability < floor:
+                    continue
+                new = store if gate.out is None else {**store, gate.out: out.label}
+                yield key | code[out.label], (
+                    prob * out.probability, prep.run_classical(new) if last else new,
+                    post_vector(fam, out), (path, step, gate, fam.name, out.label))
+
+    store = prep.run_classical({}) if not gates else {}
+    level = {0: _Ideal(tuple(i for i, need in enumerate(needs) if not need),
+                       {0: (1.0, store, state.amplitudes, None)}, None)}
+    yield level
+    for step in range(1, len(gates) + 1):
+        nxt: dict[int, _Ideal] = {}
+        for s, ideal in level.items():
+            for i in ideal.ready:
+                if edges is not None and (s, i) not in edges:
+                    continue
+                t = s | 1 << i
+                branches = fire(ideal.table, i, step, t == full)
+                have = nxt.get(t)
+                if have is None:
+                    ready = sorted([j for j in ideal.ready if j != i]
+                                   + [j for j in succs[i] if needs[j] & t == needs[j]])
+                    nxt[t] = _Ideal(tuple(ready), _table(branches), (ideal.chain, gates[i].gid))
+                    continue
+                detail = _table_mismatch(branches, have.table, atol)
+                if detail is not None:
+                    a, b = sorted((have.chain[1], gates[i].gid))
+                    ideal_gids = [g.gid for j, g in enumerate(gates) if t >> j & 1]
+                    raise SimulationError(
+                        f"the order of gates {a} and {b} matters: the ideal "
+                        f"{ideal_gids} reached with either last has {detail}")
+        level = nxt
+        yield level
+
+
+def _table(branches) -> dict:
+    """A branch table from (key, branch) pairs, refused past
+    DEFAULT_MAX_BRANCHES branches."""
+    table = {}
+    for key, b in branches:
+        table[key] = b
+        if len(table) > DEFAULT_MAX_BRANCHES:
+            raise SimulationError(f"more than {DEFAULT_MAX_BRANCHES} branches; raise min_prob")
+    return table
+
+
+def _table_mismatch(branches, table: dict, atol: float) -> str | None:
+    """How the (key, branch) pairs ``branches`` differ from ``table``,
+    or None if they agree within ``atol``."""
+    seen = 0
+    for key, (p, store, amps, path) in branches:
+        ref = table.get(key)
+        if ref is None:
+            return "different outcome assignments"
+        seen += 1
+        q, ref_store, ref_amps, _ = ref
+        if abs(p - q) > atol:
+            return f"branch {_outcomes(path)} of probability {p} against {q}"
+        if store != ref_store:
+            return f"branch {_outcomes(path)} with different classical stores"
+        if not (np.abs(amps - ref_amps) <= atol + 1e-5 * np.abs(ref_amps)).all():
+            return f"branch {_outcomes(path)} with different final states"
+    return None if seen == len(table) else "different outcome assignments"
+
+
+def _count_schedules(readies: dict[int, tuple[int, ...]]) -> int:
+    """The number of schedules, from the gates ready at each ideal
+    (``readies``, with ideals in level order): N(S) is 1 at the full
+    ideal and otherwise the sum of N(S | B) over the nonempty sets B of
+    gates ready at S, each the next bout of some schedule."""
+    count: dict[int, int] = {}
+    for s in reversed(readies):
+        bouts = [0]
+        for i in readies[s]:
+            bouts += [b | 1 << i for b in bouts]
+        count[s] = sum(count[s | b] for b in bouts[1:]) if len(bouts) > 1 else 1
+    return count[0]
 
 
 def program_unitary(program: ast.Program | PreparedProgram, bindings: dict | None = None,

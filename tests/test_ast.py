@@ -1,4 +1,6 @@
 """Expression evaluation, elaboration to ground rules, and the static checks."""
+import sys
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,24 @@ def test_integers_are_bounded_before_they_grow():
             ev(text)
     with pytest.raises(SimulationError, match=f"exceeds {bits} bits"):
         A.eval_runtime(expr("x * x"), {"x": 2 ** (bits // 2 + 1)})
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int-to-text limit")
+def test_integer_bound_follows_the_conversion_limit():
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        bits = A.max_int_bits()
+        assert bits == 2122 < A.MAX_INT_BITS
+        assert len(str(2**bits - 1)) == 639  # prints under the limit
+        assert ev(f"2 ^ {bits - 1}").bit_length() == bits
+        with pytest.raises(ElaborationError, match=f"exceeds {bits} bits"):
+            ev(f"2 ^ {bits}")
+        sys.set_int_max_str_digits(0)
+        assert A.max_int_bits() == A.MAX_INT_BITS
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_xor_is_bitwise_on_bits_only():

@@ -3,6 +3,8 @@ behavior of every subcommand, driven through main(argv)."""
 import collections
 import io
 import json
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -14,6 +16,8 @@ from qcasm.errors import SimulationError
 from qcasm.parser import parse
 
 from conftest import CORPUS, FIXTURES, PROGRAMS, corpus_program
+
+SRC = PROGRAMS.parent.parent
 
 
 TELEPORT = str(PROGRAMS / "teleport.qcasm")
@@ -100,6 +104,27 @@ def test_huge_integer_is_an_error_not_a_traceback(tmp_path, capsys, argv):
     code, out, err = run_cli(*argv, str(prog), capsys=capsys)
     assert code == 1 and out == ""
     assert err == f"error: operator '^': result exceeds {ast.MAX_INT_BITS} bits\n"
+
+
+def test_huge_literal_is_an_error_not_a_traceback(tmp_path, capsys):
+    prog = tmp_path / "literal.qcasm"
+    prog.write_text(f"x := {'9' * 5000}; H(1)\n")
+    code, out, err = run_cli("run", str(prog), capsys=capsys)
+    assert code == 1 and out == ""
+    assert err == "1:6: error: integer literal of 5000 digits exceeds the limit of 4300 digits\n"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int-to-text limit")
+def test_integer_bound_follows_a_lowered_conversion_limit(tmp_path):
+    # 2^3000 has 904 digits: under a limit of 640 the bound is 2122 bits
+    prog = tmp_path / "power.qcasm"
+    prog.write_text("x := 2^3000; H(1)\n")
+    done = subprocess.run([sys.executable, "-X", "int_max_str_digits=640", "-m", "qcasm",
+                           "run", str(prog)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == "error: operator '^': result exceeds 2122 bits\n"
 
 
 def test_missing_program_file(capsys):

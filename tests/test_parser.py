@@ -84,6 +84,29 @@ def test_unexpected_character():
     assert "@" in exc.value.message
 
 
+@pytest.mark.parametrize("template, column", [("x := {}; H(1)", 6),
+                                               ("param n = {}\nH(1)", 11),
+                                               ("R_{}(1)", 1)])
+def test_integer_literal_past_the_conversion_limit(template, column):
+    digits = A.int_str_digits()
+    if not digits:
+        pytest.skip("this Python converts integers of any length")
+    with pytest.raises(ParseError) as exc:
+        parse(template.format("9" * (digits + 1)))
+    assert (exc.value.line, exc.value.column) == (1, column)
+    assert exc.value.message == (f"integer literal of {digits + 1} digits exceeds "
+                                 f"the limit of {digits} digits")
+    parse(template.format("9" * digits))
+
+
+def test_superscript_digits_are_not_integers():
+    # str.isdigit accepts "²", which int() refuses
+    with pytest.raises(ParseError, match="unexpected character"):
+        parse("x := ²; H(1)")
+    with pytest.raises(ParseError, match="bad gate subscript"):
+        parse("R_²(1)")
+
+
 def test_error_position_on_later_line():
     with pytest.raises(ParseError) as exc:
         parse("param n = 1\nH()")

@@ -144,6 +144,18 @@ def test_rotation_gates(k):
     assert np.allclose(fam.outcomes[0].operator, expected, atol=1e-12)
 
 
+def test_rotation_angles_are_exact_powers_of_two():
+    # 2 pi / 2**k is taken by its exponent; for every k whose 2**k is a
+    # finite float it has the bytes of the division, and past that the
+    # phase rounds to 1 with no 2**k built
+    for k in range(1, 1024):
+        op = Q.std_gate("R", [k]).outcomes[0].operator
+        assert op.tobytes() == np.array([[1, 0], [0, np.exp(2j * np.pi / 2**k)]],
+                                        dtype=complex).tobytes()
+    for k in (2000, 10**9, 10**100):
+        assert (Q.std_gate("R", [k]).outcomes[0].operator == np.eye(2)).all()
+
+
 def test_rotation_low_orders():
     assert np.allclose(Q.std_gate("R", [1]).outcomes[0].operator, np.diag([1, -1]))
     assert np.allclose(Q.std_gate("R", [2]).outcomes[0].operator, np.diag([1, 1j]))

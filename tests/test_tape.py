@@ -213,25 +213,51 @@ def test_schedule_check_builds_one_input_state_and_never_writes_it(monkeypatch,
                                           prep.circuit.width).amplitudes.tobytes()
 
 
+def lattice_bytes(table: dict) -> list:
+    """``branch_bytes`` of a branch table of the schedule check's lattice walk."""
+    return sorted((S._outcomes(path), p, sorted(store.items()), amps.tobytes())
+                  for p, store, amps, path in table.values())
+
+
+def last_ideal(prep, schedules):
+    """The one ideal of the lattice walk's last level."""
+    *_, last = S._lattice(prep, schedules, 0.0, Q.ATOL)
+    (ideal,) = last.values()
+    return ideal
+
+
+def chain_schedule(chain) -> C.Schedule:
+    gids = []
+    while chain is not None:
+        chain, gid = chain
+        gids.append(gid)
+    return tuple((gid,) for gid in reversed(gids))
+
+
 @pytest.mark.parametrize("name, bindings", [("cnot_mb", {"c": 1, "t": 0}),
                                             ("grover", {"n": 2, "N": 4, "m": 3})])
-def test_verify_walks_match_fresh_enumerations(name, bindings):
-    # every schedule's walk from its copy of the one input state gives
-    # the bytes of an enumeration that builds its own
+def test_verify_final_table_is_the_enumeration_along_its_chain(name, bindings, monkeypatch):
+    # the last ideal's table, made over every edge of the lattice or over
+    # the edges of one schedule, has the bytes of an enumeration along
+    # the chain that made it, and each walk builds one input state and
+    # never writes it
+    built = []
+    make = S.initial_state
+    monkeypatch.setattr(S, "initial_state", lambda *a, **k: built.append(make(*a, **k)) or built[-1])
     prep = S.prepare(corpus_program(name), bindings)
+    fresh = make(prep.program, prep.registry, prep.circuit.width).amplitudes.tobytes()
     schedules = list(itertools.islice(C.all_schedules(prep.circuit), 0, None, 37))
-    tables = []
-    enumerate_ = S._enumerate
-
-    def recording(*args, **kwargs):
-        enum = enumerate_(*args, **kwargs)
-        tables.append(branch_bytes(enum))
-        return enum
-
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(S, "_enumerate", recording)
-        S.check_schedule_independence(prep, schedules=schedules)
-    assert tables == [branch_bytes(S.enumerate_branches(prep, schedule=s)) for s in schedules]
+    for s in [None, *schedules]:
+        built.clear()
+        ideal = last_ideal(prep, None if s is None else [s])
+        (state,) = built
+        assert not state.amplitudes.flags.writeable and state.amplitudes.tobytes() == fresh
+        chain = chain_schedule(ideal.chain)
+        if s is not None:
+            assert chain == tuple((gid,) for bout in s for gid in bout)
+        assert lattice_bytes(ideal.table) == branch_bytes(
+            S.enumerate_branches(prep, schedule=chain if s is None else s))
+    assert len(schedules) > 4
 
 
 def test_classical_pass_compiles_once_and_copies_share_it(monkeypatch):
