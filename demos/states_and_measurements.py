@@ -2,21 +2,29 @@
 States, gates, and general measurements
 =======================================
 
-A tour of the math layer: dense state vectors, the standard gate
-library, and measurement families {A_i} that need not be projective —
-the only requirement is completeness, sum_i A_i^dag A_i = I.
+A tour of the math layer through small programs: dense state vectors,
+the standard gate library, and measurement families {A_i} that need not
+be projective — the only requirement is completeness,
+sum_i A_i^dag A_i = I.  Each program runs on the simulator with ``run``
+(one seeded outcome) or ``enumerate_branches`` (every outcome with its
+exact probability and post-measurement state).
 """
 import numpy as np
 
 import qcasm
-from qcasm import qmath
+
+
+def show(state):
+    """Amplitudes rounded for printing; + 0 turns -0 into 0."""
+    return np.round(state.amplitudes, 6) + 0
+
 
 # ---------------------------------------------------------------------------
 # States: wire 1 is the most significant bit of the basis index.
 # ---------------------------------------------------------------------------
 
 plus = qcasm.make_state("plus", 1)
-print("|+> amplitudes:", np.round(plus.amplitudes, 6))
+print("|+> amplitudes:", show(plus))
 
 # A two-wire basis state written as a bitstring.  "10" puts wire 1 in
 # |1> and wire 2 in |0>, which is basis index 2.
@@ -28,30 +36,28 @@ print("|10> has amplitude 1 at index", int(np.argmax(np.abs(ten.amplitudes))))
 # ---------------------------------------------------------------------------
 
 H = qcasm.std_gate("H")
-CNOT = qcasm.std_gate("CNOT")
 print("\nH has", len(H.outcomes), "outcome; its label is", H.outcomes[0].label)
 
-# Build a Bell pair by applying H to wire 1 and CNOT to wires (1, 2).
-state = qcasm.make_state("00", 2)
-state = qmath.apply_unitary(state, H.operator(0), [1])
-state = qmath.apply_unitary(state, CNOT.operator(0), [1, 2])
-print("Bell state amplitudes:", np.round(state.amplitudes, 6))
+# A Bell pair: H on wire 1, then CNOT on wires (1, 2).  With no
+# measurement the program has one branch, of probability 1.
+BELL = "ket 00 on 1, 2; H(1); CNOT(1, 2)"
+bell = qcasm.run(qcasm.parse(BELL))
+print("Bell state amplitudes:", show(bell.state))
 
 # ---------------------------------------------------------------------------
 # The standard single-qubit measurement SM and the parity measurement PM.
+# Each branch carries the outcome read, its probability and the state
+# that outcome leaves.
 # ---------------------------------------------------------------------------
 
-SM = qcasm.std_gate("SM")
-for label in (0, 1):
-    p = qmath.outcome_probability(state, SM, [1], label)
-    print(f"P(SM on wire 1 reads {label}) = {p:.3f}")
+for b in qcasm.enumerate_branches(qcasm.parse(BELL + "; a := SM(1)")).branches:
+    print(f"P(SM on wire 1 reads {b.store['a']}) = {b.probability:.3f}, "
+          f"state after: {show(b.state)}")
 
-post = qmath.collapse(state, SM, [1], 0)
-print("state after reading 0:", np.round(post.amplitudes, 6))
-
-PM = qcasm.std_gate("PM")
-print("P(PM reads even parity) =",
-      round(qmath.outcome_probability(state, PM, [1, 2], 0), 3))
+parity = qcasm.enumerate_branches(qcasm.parse(BELL + "; e := PM(1, 2)"))
+print("PM on the Bell pair:",
+      {b.store["e"]: round(b.probability, 3) for b in parity.branches},
+      "pruned mass", parity.pruned_mass)
 
 # ---------------------------------------------------------------------------
 # A custom non-projective family: amplitude damping with rate g.
@@ -66,10 +72,13 @@ damp = qcasm.make_family("damp", 1, [
 ])
 print("\ndamp is complete:", qcasm.validate_family(damp) is None)
 
-one = qcasm.make_state("1", 1)
-print("P(damp decays |1>) =", round(qmath.outcome_probability(one, damp, [1], 1), 3))
-print("state after no-decay outcome:",
-      np.round(qmath.collapse(one, damp, [1], 0).amplitudes, 6))
+# A program uses a family that a registry holds.
+registry = qcasm.Registry()
+registry.register_family(damp)
+decay = qcasm.enumerate_branches(qcasm.parse("ket 1 on 1; d := damp(1)"), registry=registry)
+for b in decay.branches:
+    print(f"damp on |1> reads {b.store['d']} with probability {b.probability:.3f}, "
+          f"state after: {show(b.state)}")
 
 # An incomplete family is rejected outright, naming the offending entry.
 try:
@@ -78,11 +87,12 @@ except qcasm.QcasmError as exc:
     print("incomplete family rejected:", exc)
 
 # ---------------------------------------------------------------------------
-# Registries hold user families and named input states for programs.
+# Registries also hold named input states, and build controlled forms.
 # ---------------------------------------------------------------------------
 
-registry = qcasm.Registry()
 registry.register_family(qcasm.unitary_family("T", np.diag([1, np.exp(1j * np.pi / 4)])))
 registry.register_state("psi", np.array([0.6, 0.8]))
 print("\nregistry resolves T:", registry.family("T").name)
 print("registry resolves cT (controlled build):", registry.family("cT").arity, "wires")
+psi = qcasm.run(qcasm.parse("psi on 1; T(1)"), registry=registry)
+print("T on psi:", show(psi.state))

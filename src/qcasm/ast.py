@@ -224,51 +224,22 @@ def substitute(e: Expr, env: Mapping[str, int]) -> Expr:
     return e
 
 
-def eval_static(e: Expr, env: Mapping[str, int], registry: Registry | None = None):
-    """Evaluate a compile-time expression over parameter/loop bindings.
+def compile_expr(e: Expr, err=SimulationError, registry: Registry | None = None
+                 ) -> Callable[[Mapping[str, int]], object]:
+    """``e`` compiled once into a function of a store that evaluates it:
+    operands left to right, combined by ``_apply_binop`` and
+    ``_apply_unop``, and every failure raised as ``err``.  Compiling
+    never fails; an expression that cannot be evaluated fails when it is
+    called.
 
-    Names outside ``env`` and calls that are not static functions fail; a
-    call to a known gate or measurement name is tagged as a measurement
-    used outside a gate rule.
+    Elaboration passes ``ElaborationError`` and a store of parameter and
+    loop bindings: a name outside it is not a compile-time constant, and
+    only static functions may be called (a gate or measurement name that
+    ``registry`` knows is tagged as a measurement used outside a gate
+    rule).  Otherwise the store is the classical store at run time, and
+    a call reads a dynamic function location.
     """
-    if isinstance(e, IntLit):
-        return e.value
-    if isinstance(e, Name):
-        if e.ident in env:
-            return int(env[e.ident])
-        raise ElaborationError(f"{e.ident!r} is not a compile-time constant here")
-    if isinstance(e, BinOp):
-        return _apply_binop(
-            e.op,
-            eval_static(e.left, env, registry),
-            eval_static(e.right, env, registry),
-            err=ElaborationError,
-        )
-    if isinstance(e, UnOp):
-        return _apply_unop(e.op, eval_static(e.operand, env, registry), err=ElaborationError)
-    if isinstance(e, Call):
-        if e.fn in STATIC_FUNCTIONS:
-            args = [eval_static(a, env, registry) for a in e.args]
-            return STATIC_FUNCTIONS[e.fn](*args)
-        if (registry or Registry()).knows_gate(e.fn):
-            raise ElaborationError(
-                f"measurement expression {e.fn!r} may occur only within a gate rule",
-                clause=CLAUSE_MEASUREMENT_OUTSIDE_GATE_RULE,
-            )
-        raise ElaborationError(f"unknown function {e.fn!r} in compile-time expression")
-    raise ElaborationError(f"cannot evaluate {e!r}")
-
-
-def eval_runtime(e: Expr, store: Mapping[str, int]):
-    """Evaluate an expression against the classical store at run time."""
-    return compile_runtime(e)(store)
-
-
-def compile_runtime(e: Expr) -> Callable[[Mapping[str, int]], object]:
-    """``e`` compiled once into a function of the classical store that
-    evaluates it: operands left to right, combined by ``_apply_binop``
-    and ``_apply_unop``.  Compiling never fails; an expression that
-    cannot be evaluated fails when it is called."""
+    static = err is ElaborationError
     if isinstance(e, IntLit):
         value = e.value
         return lambda store: value
@@ -278,29 +249,38 @@ def compile_runtime(e: Expr) -> Callable[[Mapping[str, int]], object]:
         def name(store):
             if ident in store:
                 return store[ident]
-            raise SimulationError(f"variable {ident!r} has no value")
+            raise err(f"{ident!r} is not a compile-time constant here" if static
+                      else f"variable {ident!r} has no value")
         return name
     if isinstance(e, BinOp):
-        op, left, right = e.op, compile_runtime(e.left), compile_runtime(e.right)
-        return lambda store: _apply_binop(op, left(store), right(store))
+        op = e.op
+        left, right = compile_expr(e.left, err, registry), compile_expr(e.right, err, registry)
+        return lambda store: _apply_binop(op, left(store), right(store), err)
     if isinstance(e, UnOp):
-        op, operand = e.op, compile_runtime(e.operand)
-        return lambda store: _apply_unop(op, operand(store))
+        op, operand = e.op, compile_expr(e.operand, err, registry)
+        return lambda store: _apply_unop(op, operand(store), err)
     if isinstance(e, Call):
-        fn, args = e.fn, tuple(compile_runtime(a) for a in e.args)
+        fn, args = e.fn, tuple(compile_expr(a, err, registry) for a in e.args)
         if fn in STATIC_FUNCTIONS:
-            static = STATIC_FUNCTIONS[fn]
-            return lambda store: static(*[a(store) for a in args])
-
-        def call(store):
-            key = dynamic_key(fn, tuple(a(store) for a in args))
-            if key in store:
-                return store[key]
-            raise SimulationError(f"dynamic function value {key!r} has no value")
-        return call
+            static_fn = STATIC_FUNCTIONS[fn]
+            return lambda store: static_fn(*[a(store) for a in args])
+        if not static:
+            def call(store):
+                key = dynamic_key(fn, tuple(a(store) for a in args))
+                if key in store:
+                    return store[key]
+                raise err(f"dynamic function value {key!r} has no value")
+            return call
+        if (registry or Registry()).knows_gate(fn):
+            message = f"measurement expression {fn!r} may occur only within a gate rule"
+            tag = {"clause": CLAUSE_MEASUREMENT_OUTSIDE_GATE_RULE}
+        else:
+            message, tag = f"unknown function {fn!r} in compile-time expression", {}
+    else:
+        message, tag = f"cannot evaluate {e!r}", {}
 
     def fail(store):
-        raise SimulationError(f"cannot evaluate {e!r}")
+        raise err(message, **tag)
     return fail
 
 
@@ -711,7 +691,7 @@ class _Elaborator:
         return fam
 
     def eval(self, e: Expr, env) -> int:
-        v = eval_static(e, env, self.registry)
+        v = compile_expr(e, ElaborationError, self.registry)(env)
         if not _is_int(v):
             raise ElaborationError(f"expected an integer, got {v!r}")
         return v

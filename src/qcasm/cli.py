@@ -288,7 +288,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:  # an unreadable or non-UTF-8 input file
         print(f"error: {e}", file=sys.stderr)
         return 2
 

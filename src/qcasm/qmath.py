@@ -14,7 +14,8 @@ Conventions used throughout the package:
   pattern (``structure``) the first time it is applied.
   ``bind_operator`` checks the wires once and binds the kernel of that
   kind, with its views, slices and axes, to the wires and the state's
-  width; ``apply_operator`` is a bind and one call.  The kinds:
+  width, and ``bind_outcomes`` binds every outcome of a family so.
+  That is the one way an operator reaches a state.  The kinds:
   - a *gather*, at most one nonzero per row (R_k, cR_k, Z, reflect0, I,
     X, CNOT, SWAP, mark, the SM and PM projectors), makes each output
     row a factor times one input row: one pass copies the state, or
@@ -37,11 +38,12 @@ Conventions used throughout the package:
   family it controls) and are built without the completeness check;
   ``make_family``, ``unitary_family``, ``family_power`` and
   ``register_family`` keep it.
-* A taken outcome A_i |s> is divided by its norm, except for a
-  single-outcome family whose squared norm is already within
-  ``UNIT_NORM_SLACK`` of 1: a unitary leaves the state normalized to
-  rounding, and an operator that is unitary only within ``ATOL`` still
-  has its outcome divided, so the norm cannot drift over many gates.
+* A taken outcome A_i |s> is divided by its norm (``post_vector``),
+  except for a single-outcome family whose squared norm is already
+  within ``UNIT_NORM_SLACK`` of 1: a unitary leaves the state
+  normalized to rounding, and an operator that is unitary only within
+  ``ATOL`` still has its outcome divided, so the norm cannot drift over
+  many gates.
 """
 from __future__ import annotations
 
@@ -136,7 +138,7 @@ class QuantumState:
 
 
 class Structure(NamedTuple):
-    """An operator with the structure ``apply_operator`` exploits.
+    """An operator with the structure ``bind_operator`` exploits.
 
     ``kind`` is "gather" (at most one nonzero per row) or "dense", and
     ``matrix`` is the operator itself.  In a gather, row r of the output
@@ -221,6 +223,8 @@ class MeasurementFamily:
     def __post_init__(self):
         if self.arity < 1:
             raise InvalidFamilyError(f"arity must be >= 1, got {self.arity}")
+        if self.arity > MAX_WIDTH:
+            raise InvalidFamilyError(f"{self.name}: arity {self.arity} exceeds the maximum width {MAX_WIDTH}")
         if not self.outcomes:
             raise InvalidFamilyError("family needs at least one outcome")
         dim = 2**self.arity
@@ -428,16 +432,18 @@ def _layout(wires: tuple[int, ...], width: int):
 _ALL = slice(None)
 
 
-def bind_operator(op: np.ndarray | Structure, wires: Sequence[int], width: int
+def bind_operator(op: Structure, wires: Sequence[int], width: int
                   ) -> Callable[[np.ndarray, np.ndarray | None], np.ndarray]:
-    """``apply_operator`` of ``op`` on ``wires`` of a ``width``-wire
-    state, bound once: the wires and the operator's shape are checked
-    here, and the views, slice tuples and contraction axes are computed
-    here, so ``kernel(amps, out)`` does only the numpy work of
-    ``apply_operator(amps, op, wires, width, out)``."""
+    """The kernel of ``op`` on ``wires`` of a ``width``-wire state, by
+    its kind (see the module docstring), with the wires and shape
+    checked and the views, slices and axes computed here, once.
+    ``kernel(amps, out)`` returns a new vector, or ``out``: ``amps``
+    itself for a diagonal, then scaled in place, else a buffer that does
+    not overlap ``amps``, every entry of which is written.  The three
+    paths compute the same products, so they give the same bytes."""
     ws = check_wires(wires, width)
     k = len(ws)
-    kind, matrix, data, diagonal = op if isinstance(op, Structure) else ("dense", op, None, False)
+    kind, matrix, data, diagonal = op
     if matrix.shape != (2**k, 2**k):
         raise InvalidFamilyError(f"operator of shape {matrix.shape} does not act on {k} wires")
     if kind == "dense":
@@ -509,32 +515,11 @@ def bind_operator(op: np.ndarray | Structure, wires: Sequence[int], width: int
     return gather
 
 
-def apply_operator(amps: np.ndarray, op: np.ndarray | Structure, wires: Sequence[int],
-                   width: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Apply a k-qubit operator to the named wires of a raw amplitude
-    vector.  A plain matrix is applied dense; a ``Structure`` by its kind
-    (see the module docstring).  The result is a new vector, or ``out``
-    when one is given: ``amps`` itself for a diagonal structure, which
-    is then scaled in place, else a buffer that does not overlap
-    ``amps``, every entry of which is written.  Each path computes the
-    same products, so the three give the same bytes.  This is
-    ``bind_operator(op, wires, width)(amps, out)``."""
-    return bind_operator(op, wires, width)(amps, out)
-
-
 def is_unitary_matrix(op: np.ndarray, atol: float = ATOL) -> bool:
     op = np.asarray(op, dtype=_COMPLEX)
     if op.ndim != 2 or op.shape[0] != op.shape[1]:
         return False
     return bool(np.max(np.abs(op.conj().T @ op - np.eye(op.shape[0]))) <= atol)
-
-
-def apply_unitary(s: QuantumState, u, wires: Sequence[int]) -> QuantumState:
-    """Apply a unitary matrix to the named wires."""
-    op = _as_operator(u, "apply_unitary")
-    if not is_unitary_matrix(op):
-        raise InvalidFamilyError("apply_unitary: matrix is not unitary within tolerance")
-    return QuantumState(s.width, apply_operator(s.amplitudes, op, wires, s.width))
 
 
 class OutcomeVector(NamedTuple):
@@ -547,22 +532,15 @@ class OutcomeVector(NamedTuple):
     norm2: float
 
 
-def outcome_vectors(s: QuantumState, f: MeasurementFamily, wires: Sequence[int],
-                    labels: Sequence[int] | None = None) -> tuple[OutcomeVector, ...]:
-    """A_i |s> for the given labels (default: every outcome, in family
-    order), one operator application each, each into a new vector.  A
-    squared norm above 1 + ATOL means the family is not complete and is
-    rejected; so is a non-finite one, so every vector returned is finite."""
-    return bind_outcomes(f, wires, s.width, labels)(s.amplitudes)
-
-
-def bind_outcomes(f: MeasurementFamily, wires: Sequence[int], width: int,
-                  labels: Sequence[int] | None = None
+def bind_outcomes(f: MeasurementFamily, wires: Sequence[int], width: int
                   ) -> Callable[..., tuple[OutcomeVector, ...]]:
-    """``outcome_vectors`` of ``f`` on ``wires`` of a ``width``-wire
-    state, with each outcome's kernel bound once (``bind_operator``):
-    ``fire(amps, scratch=None)`` returns the outcome vectors of the raw
-    amplitude array ``amps``.  Without ``scratch`` each vector is new.
+    """The outcomes of ``f`` on ``wires`` of a ``width``-wire state, each
+    outcome's kernel bound once (``bind_operator``): ``fire(amps,
+    scratch=None)`` returns A_i |amps> for every outcome, in family
+    order, of the raw amplitude array ``amps``.  A squared norm above
+    1 + ATOL means the family is not complete and is rejected; so is a
+    non-finite one, so every vector returned is finite.  Without
+    ``scratch`` each vector is new.
     With it, the caller owns ``amps`` and hands it over: the one operator
     of a single-outcome family that is a diagonal scales ``amps`` in
     place, and any other outcome is written into the buffer that
@@ -571,9 +549,9 @@ def bind_outcomes(f: MeasurementFamily, wires: Sequence[int], width: int,
     if len(ws) != f.arity:
         raise InvalidFamilyError(f"{f.name}: family of arity {f.arity} applied to {len(ws)} wires")
     kernels = []
-    for label in f.labels if labels is None else labels:
-        st = f.outcome(label).structure
-        kernels.append((label, bind_operator(st, ws, width), f.is_unitary and st.diagonal))
+    for oc in f.outcomes:
+        st = oc.structure
+        kernels.append((oc.label, bind_operator(st, ws, width), f.is_unitary and st.diagonal))
 
     def fire(amps: np.ndarray, scratch: Callable[[], np.ndarray] | None = None
              ) -> tuple[OutcomeVector, ...]:
@@ -592,7 +570,7 @@ def post_vector(f: MeasurementFamily, o: OutcomeVector) -> np.ndarray:
     """The amplitudes A_i |s> / ||A_i |s>|| of a taken outcome, divided
     in place: ``o.vector`` becomes the post-measurement amplitudes.
 
-    ``outcome_vectors`` has already bounded the squared norm (finite, at
+    ``bind_outcomes`` has already bounded the squared norm (finite, at
     most 1 + ATOL) and this rejects it below PRUNE_EPS, so the quotient
     is finite and normalized by construction and is not validated again.
     The one outcome of a single-outcome family is not divided when its
@@ -605,22 +583,6 @@ def post_vector(f: MeasurementFamily, o: OutcomeVector) -> np.ndarray:
     if f.is_unitary and abs(o.norm2 - 1.0) <= UNIT_NORM_SLACK:
         return o.vector
     return np.divide(o.vector, math.sqrt(o.norm2), out=o.vector)
-
-
-def post_state(s: QuantumState, f: MeasurementFamily, o: OutcomeVector) -> QuantumState:
-    """The post-measurement state of a taken outcome: ``post_vector``,
-    frozen, with no copy."""
-    return QuantumState._unchecked(s.width, post_vector(f, o))
-
-
-def outcome_probability(s: QuantumState, f: MeasurementFamily, wires: Sequence[int], label: int) -> float:
-    """Probability ||A_label |s>||**2 of observing the labelled outcome."""
-    return outcome_vectors(s, f, wires, (label,))[0].probability
-
-
-def collapse(s: QuantumState, f: MeasurementFamily, wires: Sequence[int], label: int) -> QuantumState:
-    """Post-measurement state A_label |s> / ||A_label |s>|| for the outcome."""
-    return post_state(s, f, outcome_vectors(s, f, wires, (label,))[0])
 
 
 def fidelity_up_to_phase(a: QuantumState, b: QuantumState) -> float:
@@ -814,6 +776,8 @@ def load_registry(source, into: Registry | None = None) -> Registry:
     [[[re, im], ...], ...]}, ...]} with row-major matrices; a state entry is
     {"name": str, "qubits": int, "amplitudes": [[re, im], ...]}.
     ``source`` may be a path, a JSON string, or an already-parsed object.
+    An entry with a missing field or one of the wrong type is a
+    ``RegistryError`` that names the entry.
     """
     reg = into if into is not None else Registry()
     if isinstance(source, (str, os.PathLike)) and os.path.exists(os.fspath(source)):
@@ -825,24 +789,29 @@ def load_registry(source, into: Registry | None = None) -> Registry:
         doc = source
     entries = doc if isinstance(doc, list) else [doc]
     for entry in entries:
-        if not isinstance(entry, dict) or "name" not in entry:
-            raise RegistryError(f"registry entry must be an object with a name: {entry!r}")
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            raise RegistryError(f"registry entry must be an object with a string name: {entry!r}")
         name = entry["name"]
+        if "outcomes" not in entry and "amplitudes" not in entry:
+            raise RegistryError(f"registry entry {name!r} has neither outcomes nor amplitudes")
+        try:
+            if "outcomes" in entry:
+                arity = int(entry.get("arity", 0))
+                outcomes = tuple(Outcome(int(oc["label"]), np.array(
+                    [[_complex_from_pair(cell, name) for cell in row] for row in oc["matrix"]],
+                    dtype=_COMPLEX)) for oc in entry["outcomes"])
+            else:
+                amps = [_complex_from_pair(pair, name) for pair in entry["amplitudes"]]
+                qubits = int(entry["qubits"]) if "qubits" in entry else None
+        except KeyError as e:
+            raise RegistryError(f"registry entry {name!r}: missing field {e.args[0]!r}") from None
+        except (TypeError, ValueError) as e:
+            raise RegistryError(f"registry entry {name!r}: {e}") from None
         if "outcomes" in entry:
-            arity = int(entry.get("arity", 0))
-            outcomes = []
-            for oc in entry["outcomes"]:
-                rows = oc["matrix"]
-                mat = [[_complex_from_pair(cell, name) for cell in row] for row in rows]
-                outcomes.append((int(oc["label"]), np.array(mat, dtype=_COMPLEX)))
             # register_family checks completeness, once.
-            reg.register_family(MeasurementFamily(
-                name, arity, tuple(Outcome(label, op) for label, op in outcomes)))
-        elif "amplitudes" in entry:
-            amps = [_complex_from_pair(pair, name) for pair in entry["amplitudes"]]
-            if "qubits" in entry and 2 ** int(entry["qubits"]) != len(amps):
+            reg.register_family(MeasurementFamily(name, arity, outcomes))
+        else:
+            if qubits is not None and 2 ** qubits != len(amps):
                 raise RegistryError(f"state {name!r}: qubits field does not match amplitude count")
             reg.register_state(name, amps)
-        else:
-            raise RegistryError(f"registry entry {name!r} has neither outcomes nor amplitudes")
     return reg

@@ -1,12 +1,14 @@
 """Executing programs on a dense state-vector simulator.
 
 A prepared program pairs the lowered circuit with a schedule and with
-its gate tape: per gate, the guards compiled into closures when the
-first walk starts and, per family and state width, the outcome kernels
-bound to the gate's wires the first time that family fires at that
-width.  The tape depends only on the circuit, so the copies that
-``with_schedule`` makes share it.  Execution walks the
-schedule bout by bout; inside a bout gates fire in ascending id order.
+its gate tape: per gate, the guards compiled into closures
+(``ast.compile_expr``) when the first walk starts and, per family and
+state width, the outcome kernels bound to the gate's wires
+(``qmath.bind_outcomes``) the first time that family fires at that
+width.  Every entry point fires its gates from the tape, which depends
+only on the circuit, so the copies that ``with_schedule`` makes share
+it.  Execution walks the schedule bout by bout; inside a bout gates
+fire in ascending id order.
 Firing a gate evaluates its guards against the classical store,
 selects a measurement family and applies each of its outcome operators
 once.  One depth-first walk of the outcome tree (``_walk``) then
@@ -102,16 +104,17 @@ class Enumeration:
 
 class _TapeGate:
     """One gate compiled for firing: its guards as closures
-    (``ast.compile_runtime``) and, per family index and state width, the
-    family's outcomes bound to the gate's wires (``qmath.bind_outcomes``),
-    each bound the first time it fires.  It holds operators of the
-    gate's arity and slice tuples, never a state-sized array."""
+    (``ast.compile_expr``, which elaboration uses too) and, per family
+    index and state width, the family's outcomes bound to the gate's
+    wires (``qmath.bind_outcomes``), each bound the first time it fires.
+    It holds operators of the gate's arity and slice tuples, never a
+    state-sized array."""
 
     __slots__ = ("gate", "guards", "bound")
 
     def __init__(self, gate: Gate):
         self.gate = gate
-        self.guards = tuple(ast.compile_runtime(g) for g in gate.guards)
+        self.guards = tuple(ast.compile_expr(g) for g in gate.guards)
         self.bound: dict[tuple[int, int], Callable] = {}
 
     def fire(self, store, amps: np.ndarray, width: int,
@@ -300,12 +303,12 @@ def _pick_all(cdf: tuple[list[float], list[int]], us: np.ndarray) -> np.ndarray:
 def _compile_classical(r: ast.Rule) -> Callable[[dict], dict]:
     """The classical rules of ``r`` compiled once into a function of the
     store that returns the updates they make; expressions are compiled
-    by ``ast.compile_runtime``, so every error shows when it is called."""
+    by ``ast.compile_expr``, so every error shows when it is called."""
     if isinstance(r, (ast.GateRule, ast.Skip)):
         return lambda store: {}
     if isinstance(r, ast.ClassicalAssign):
-        target, value = r.target, ast.compile_runtime(r.value)
-        target_args = tuple(ast.compile_runtime(a) for a in r.target_args)
+        target, value = r.target, ast.compile_expr(r.value)
+        target_args = tuple(ast.compile_expr(a) for a in r.target_args)
 
         def assign(store):
             args = []
@@ -317,7 +320,7 @@ def _compile_classical(r: ast.Rule) -> Callable[[dict], dict]:
             return {ast.dynamic_key(target, tuple(args)): value(store)}
         return assign
     if isinstance(r, ast.ClassicalCond):
-        guards = tuple(ast.compile_runtime(g) for g in r.guards)
+        guards = tuple(ast.compile_expr(g) for g in r.guards)
         branches = tuple(_compile_classical(b) for b in r.branches)
 
         def cond(store):
@@ -472,14 +475,12 @@ def enumerate_branches(program: ast.Program | PreparedProgram,
     A branch is pruned (its mass accumulated, not explored) when its
     probability falls below max(min_prob, 1e-12).
     """
-    prep = _prepared(program, bindings, registry, schedule)
-    return _enumerate(prep, prep.input_state(), min_prob, max_branches)
+    return _enumerate(_prepared(program, bindings, registry, schedule), min_prob, max_branches)
 
 
-def _enumerate(prep: PreparedProgram, state: QuantumState, min_prob: float = 0.0,
+def _enumerate(prep: PreparedProgram, min_prob: float = 0.0,
                max_branches: int = DEFAULT_MAX_BRANCHES) -> Enumeration:
-    """``enumerate_branches`` of a prepared program from ``state``, which
-    the walk takes over."""
+    """``enumerate_branches`` of a prepared program, from its input state."""
     floor = max(min_prob, 0.0)
 
     def follow(gate, fam, outs, prob, slot):
@@ -489,7 +490,7 @@ def _enumerate(prep: PreparedProgram, state: QuantumState, min_prob: float = 0.0
 
     branches: list[Branch] = []
     pruned = 0.0  # summed in visiting order, which fixes its last bits
-    for leaf in _walk(prep, state, follow):
+    for leaf in _walk(prep, prep.input_state(), follow):
         if isinstance(leaf, float):
             pruned += leaf
             continue

@@ -24,7 +24,7 @@ def body(text: str) -> A.Rule:
 
 
 def ev(text: str, env=None):
-    return A.eval_static(expr(text), env or {})
+    return A.compile_expr(expr(text), ElaborationError)(env or {})
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +64,7 @@ def test_integers_are_bounded_before_they_grow():
         with pytest.raises(ElaborationError, match=f"exceeds {bits} bits"):
             ev(text)
     with pytest.raises(SimulationError, match=f"exceeds {bits} bits"):
-        A.eval_runtime(expr("x * x"), {"x": 2 ** (bits // 2 + 1)})
+        A.compile_expr(expr("x * x"))({"x": 2 ** (bits // 2 + 1)})
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
@@ -143,7 +143,7 @@ def test_unknown_function_is_static_error():
 
 def test_gate_call_in_static_position_is_tagged():
     with pytest.raises(ElaborationError) as exc:
-        A.eval_static(A.Call("SM", (A.IntLit(1),)), {})
+        A.compile_expr(A.Call("SM", (A.IntLit(1),)), ElaborationError)({})
     assert exc.value.clause == A.CLAUSE_MEASUREMENT_OUTSIDE_GATE_RULE
 
 
@@ -152,7 +152,7 @@ def test_substitute_and_name_collection():
     assert A.expr_names(e) == frozenset({"n", "m", "k"})
     sub = A.substitute(e, {"n": 1, "k": 3})
     assert A.expr_names(sub) == frozenset({"m"})
-    assert A.eval_static(sub, {"m": 2}) == 7
+    assert A.compile_expr(sub, ElaborationError)({"m": 2}) == 7
     assert A.expr_calls(expr("f(g(1), 2) + h(3)")) == frozenset({"f", "g", "h"})
 
 
@@ -161,17 +161,17 @@ def test_substitute_and_name_collection():
 # ---------------------------------------------------------------------------
 
 def test_runtime_store_lookup():
-    assert A.eval_runtime(expr("p + q"), {"p": 1, "q": 2}) == 3
+    assert A.compile_expr(expr("p + q"))({"p": 1, "q": 2}) == 3
     with pytest.raises(SimulationError):
-        A.eval_runtime(expr("p"), {})
+        A.compile_expr(expr("p"))({})
 
 
 def test_runtime_dynamic_function_values():
     e = expr("f(2)")
-    assert A.eval_runtime(e, {"f(2)": 7}) == 7
+    assert A.compile_expr(e)({"f(2)": 7}) == 7
     with pytest.raises(SimulationError):
-        A.eval_runtime(e, {"f(3)": 7})
-    assert A.eval_runtime(expr("f(1 + 1)"), {"f(2)": 9}) == 9
+        A.compile_expr(e)({"f(3)": 7})
+    assert A.compile_expr(expr("f(1 + 1)"))({"f(2)": 9}) == 9
 
 
 def test_dynamic_key_format():
@@ -182,9 +182,9 @@ def test_dynamic_key_format():
 
 def test_runtime_type_errors():
     with pytest.raises(SimulationError):
-        A.eval_runtime(expr("p and q"), {"p": 1, "q": 0})
+        A.compile_expr(expr("p and q"))({"p": 1, "q": 0})
     with pytest.raises(SimulationError):
-        A.eval_runtime(expr("p xor q"), {"p": 2, "q": 0})
+        A.compile_expr(expr("p xor q"))({"p": 2, "q": 0})
 
 
 # ---------------------------------------------------------------------------
@@ -314,17 +314,6 @@ def test_elaboration_checks_each_family_once(monkeypatch):
     A.elaborate(parse("cU(1, 2); cU(2, 1); ccU(3, 1, 2); X_pow(2)(1); X_pow(2)(2)"),
                 registry=reg)
     assert names == ["X^4"]
-
-
-def test_controlled_gates_are_not_tested_for_unitarity(monkeypatch):
-    # cR_k is built from R_k's matrix with no unitarity test (and, being
-    # a library gate's controlled form, with no completeness check).
-    tested = []
-    is_unitary = Q.is_unitary_matrix
-    monkeypatch.setattr(Q, "is_unitary_matrix",
-                        lambda op, *a: tested.append(op.shape) or is_unitary(op, *a))
-    A.elaborate(corpus_program("qft"), {"n": 8})
-    assert tested == []
 
 
 def test_gates_share_one_family_per_name_and_params():

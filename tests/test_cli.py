@@ -154,6 +154,36 @@ def test_invalid_registry_json(tmp_path, capsys):
     assert "not valid JSON" in err
 
 
+@pytest.mark.parametrize("entry, message", [
+    ({"name": "U", "arity": 1, "outcomes": [{"label": 0}]}, "missing field 'matrix'"),
+    ({"name": "U", "arity": "x", "outcomes": []}, "invalid literal for int()"),
+    ({"name": "s", "qubits": "z", "amplitudes": [[1, 0], [0, 0]]}, "invalid literal for int()"),
+    ({"name": "s", "amplitudes": [["a", 0], [0, 0]]}, "could not convert string to float"),
+    ({"name": "U", "outcomes": 5}, "'int' object is not iterable"),
+    ({"name": "U", "arity": 100000, "outcomes": [{"label": 0, "matrix": [[[1, 0]]]}]},
+     "arity 100000 exceeds the maximum width 24"),
+    ({"name": 5, "amplitudes": [[1, 0]]}, "an object with a string name"),
+])
+def test_malformed_registry_entry_is_an_error_not_a_traceback(tmp_path, capsys, entry, message):
+    reg = tmp_path / "bad.json"
+    reg.write_text(json.dumps([entry]))
+    code, out, err = run_cli("check", TELEPORT, "--registry", str(reg), capsys=capsys)
+    assert code == 1 and out == ""
+    assert "Traceback" not in err
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and message in line and str(entry["name"]) in line
+
+
+@pytest.mark.parametrize("option", [(), ("--registry",)])
+def test_non_utf8_input_file_is_an_error_not_a_traceback(tmp_path, capsys, option):
+    bad = tmp_path / "latin1"
+    bad.write_bytes(b"\xff\xfe[1]")
+    argv = (TELEPORT, *option, str(bad)) if option else (str(bad),)
+    code, out, err = run_cli("check", *argv, capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+
+
 def test_stdin_program(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("H(1); p := SM(1)\n"))
     code, out, _ = run_cli("check", "-", capsys=capsys)

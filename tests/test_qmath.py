@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 from qcasm import qmath as Q
+from qcasm import sim as S
 from qcasm.errors import (ImpossibleBranchError, InvalidFamilyError,
                           InvalidStateError, QmathError, RegistryError,
                           UnknownNameError)
+from qcasm.parser import parse
 
 
 def embed_oracle(op: np.ndarray, wires: tuple[int, ...], width: int) -> np.ndarray:
@@ -393,8 +395,8 @@ def test_apply_operator_matches_oracle():
             st = Q.structure(op.astype(complex))
             assert st.kind == kind, (width, wires, op)
             want = embed_oracle(op, wires, width) @ s.amplitudes
-            for applied in (op, st):  # the dense path is the reference
-                got = Q.apply_operator(s.amplitudes, applied, wires, width)
+            for applied in (Q.Structure("dense", op, None), st):  # dense is the reference
+                got = Q.bind_operator(applied, wires, width)(s.amplitudes)
                 assert np.abs(got - want).max() < 1e-12, (width, wires, op)
                 assert_kernel_paths_agree(s.amplitudes, applied, wires, width)
     # every wire order up to width 4, for these operators and the library's
@@ -407,7 +409,7 @@ def test_apply_operator_matches_oracle():
             for op in ops:
                 st = Q.structure(op)
                 for wires in itertools.permutations(range(1, width + 1), k):
-                    for applied in (op, st):
+                    for applied in (Q.Structure("dense", op, None), st):
                         assert_kernel_paths_agree(s.amplitudes, applied, wires, width)
 
 
@@ -415,18 +417,18 @@ def assert_kernel_paths_agree(amps, op, wires, width):
     """Writing into a buffer, and in place for a diagonal, gives the
     bytes of the allocating path, which leaves ``amps`` unchanged."""
     before = amps.tobytes()
-    want = Q.apply_operator(amps, op, wires, width).tobytes()
+    want = Q.bind_operator(op, wires, width)(amps).tobytes()
     assert amps.tobytes() == before
     buf = np.full(amps.shape, np.nan, dtype=complex)
-    assert Q.apply_operator(amps, op, wires, width, buf) is buf
+    assert Q.bind_operator(op, wires, width)(amps, buf) is buf
     assert buf.tobytes() == want, (wires, op)
     own = amps.copy()
-    if isinstance(op, Q.Structure) and op.diagonal:
-        assert Q.apply_operator(own, op, wires, width, own) is own
+    if op.diagonal:
+        assert Q.bind_operator(op, wires, width)(own, own) is own
         assert own.tobytes() == want, (wires, op)
     else:
         with pytest.raises(QmathError, match="in place"):
-            Q.apply_operator(own, op, wires, width, own)
+            Q.bind_operator(op, wires, width)(own, own)
 
 
 def library_families() -> list:
@@ -447,44 +449,46 @@ def library_families() -> list:
 def test_apply_unitary_preserves_norm():
     rng = np.random.default_rng(5)
     s = random_state(rng, 3)
-    h = Q.std_gate("H").outcomes[0].operator
-    t = Q.apply_unitary(s, h, (2,))
-    assert abs(np.linalg.norm(t.amplitudes) - 1.0) < 1e-12
+    h = Q.std_gate("H")
+    (o,) = Q.bind_outcomes(h, (2,), 3)(s.amplitudes)
+    assert abs(np.linalg.norm(Q.post_vector(h, o)) - 1.0) < 1e-12
     with pytest.raises(InvalidFamilyError):
-        Q.apply_unitary(s, np.array([[1, 0], [0, 0.5]]), (2,))
+        Q.unitary_family("U", np.array([[1, 0], [0, 0.5]]))
 
 
 def test_cnot_on_nonadjacent_wires():
     # CNOT(3, 1) on |001> flips wire 1: expect |101>
     s = Q.make_state("001", 3)
-    cnot = Q.std_gate("CNOT").outcomes[0].operator
-    t = Q.QuantumState(3, Q.apply_operator(s.amplitudes, cnot, (3, 1), 3))
+    cnot = Q.std_gate("CNOT").outcomes[0].structure
+    t = Q.QuantumState(3, Q.bind_operator(cnot, (3, 1), 3)(s.amplitudes))
     assert np.allclose(t.amplitudes, Q.basis_state([1, 0, 1]))
 
 
 def test_outcome_probability_and_collapse():
     plus = Q.make_state("plus", 1)
     sm = Q.std_gate("SM")
-    p0 = Q.outcome_probability(plus, sm, (1,), 0)
-    p1 = Q.outcome_probability(plus, sm, (1,), 1)
-    assert abs(p0 - 0.5) < 1e-12 and abs(p1 - 0.5) < 1e-12
-    c0 = Q.collapse(plus, sm, (1,), 0)
-    assert np.allclose(c0.amplitudes, [1, 0])
+    o0, o1 = Q.bind_outcomes(sm, (1,), 1)(plus.amplitudes)
+    assert abs(o0.probability - 0.5) < 1e-12 and abs(o1.probability - 0.5) < 1e-12
+    assert np.allclose(Q.post_vector(sm, o0), [1, 0])
     zero = Q.make_state("0", 1)
+    _, impossible = Q.bind_outcomes(sm, (1,), 1)(zero.amplitudes)
     with pytest.raises(ImpossibleBranchError):
-        Q.collapse(zero, sm, (1,), 1)
+        Q.post_vector(sm, impossible)
 
 
 def test_post_state_is_frozen_and_normalized_without_revalidation():
     rng = np.random.default_rng(5)
     s = random_state(rng, 3)
     pm = Q.std_gate("PM")
-    for o in Q.outcome_vectors(s, pm, (3, 1)):
-        t = Q.post_state(s, pm, o)
-        assert t.width == 3
-        assert not t.amplitudes.flags.writeable
-        assert abs(np.linalg.norm(t.amplitudes) - 1.0) <= Q.ATOL
-        assert np.allclose(t.amplitudes, o.vector / np.linalg.norm(o.vector))
+    for o in Q.bind_outcomes(pm, (3, 1), 3)(s.amplitudes):
+        want = o.vector / np.linalg.norm(o.vector)
+        assert Q.post_vector(pm, o) is o.vector  # divided in place
+        assert abs(np.linalg.norm(o.vector) - 1.0) <= Q.ATOL
+        assert np.allclose(o.vector, want)
+    # the walk freezes each post-measurement state it hands out
+    for b in S.enumerate_branches(parse("ket 000 on 1, 2, 3; H(1); H(3); e := PM(3, 1)")).branches:
+        assert not b.state.amplitudes.flags.writeable
+        assert abs(np.linalg.norm(b.state.amplitudes) - 1.0) <= Q.ATOL
     # states built from outside input are still checked in full
     with pytest.raises(InvalidStateError):
         Q.QuantumState(1, np.array([0.6, 0.6], dtype=complex))
@@ -493,33 +497,35 @@ def test_post_state_is_frozen_and_normalized_without_revalidation():
     with pytest.raises(InvalidStateError):
         Q.make_state([np.nan, 1.0], 1)
     # an operator whose product overflows (to inf + nan j) never reaches
-    # post_state: its nan probability is rejected like one above 1
+    # post_vector: its nan probability is rejected like one above 1
     huge = Q.MeasurementFamily("huge", 1, (Q.Outcome(0, np.full((2, 2), 1.5e308)),))
     with np.errstate(all="ignore"), pytest.raises(InvalidFamilyError, match="nan"):
-        Q.collapse(Q.make_state("plus", 1), huge, (1,), 0)
+        Q.bind_outcomes(huge, (1,), 1)(Q.make_state("plus", 1).amplitudes)
 
 
 def test_unitary_outcome_is_divided_only_off_unit_norm():
     rng = np.random.default_rng(8)
     s = random_state(rng, 3)
     h = Q.std_gate("H")
-    (o,) = Q.outcome_vectors(s, h, (2,))
+    (o,) = Q.bind_outcomes(h, (2,), 3)(s.amplitudes)
     assert abs(o.norm2 - 1.0) <= Q.UNIT_NORM_SLACK
-    assert Q.post_state(s, h, o).amplitudes is o.vector
+    before = o.vector.tobytes()
+    assert Q.post_vector(h, o) is o.vector and o.vector.tobytes() == before
     # Complete within ATOL but not within UNIT_NORM_SLACK: each outcome
     # is divided, so the norm does not drift over many gates.
     lossy = Q.unitary_family("lossy", np.diag([1.0, 1.0 - 1e-10]))
-    t = Q.make_state("plus", 1)
+    fire = Q.bind_outcomes(lossy, (1,), 1)
+    t = Q.make_state("plus", 1).amplitudes
     for _ in range(2000):
-        t = Q.collapse(t, lossy, (1,), 0)
-    assert abs(np.linalg.norm(t.amplitudes) - 1.0) < 1e-13
+        t = Q.post_vector(lossy, fire(t)[0])
+    assert abs(np.linalg.norm(t) - 1.0) < 1e-13
 
 
 def test_parity_measurement_on_bell():
     bell = Q.make_state("bell00", 2)
-    pm = Q.std_gate("PM")
-    assert abs(Q.outcome_probability(bell, pm, (1, 2), 0) - 1.0) < 1e-12
-    assert Q.outcome_probability(bell, pm, (1, 2), 1) < 1e-15
+    even, odd = Q.bind_outcomes(Q.std_gate("PM"), (1, 2), 2)(bell.amplitudes)
+    assert abs(even.probability - 1.0) < 1e-12
+    assert odd.probability < 1e-15
 
 
 def test_check_wires():

@@ -33,11 +33,9 @@ def reference_check(prep: S.PreparedProgram, schedules=None, min_prob: float = 0
         schedules = C.all_schedules(prep.circuit)
     if not schedules:
         raise SimulationError("no schedules to compare")
-    state = prep.input_state()
     reference = None
     for schedule in schedules:
-        copy = Q.QuantumState._unchecked(state.width, state.amplitudes.copy())
-        enum = S._enumerate(prep.with_schedule(schedule), copy, min_prob)
+        enum = S._enumerate(prep.with_schedule(schedule), min_prob)
         table = {b.outcomes: b for b in enum.branches}
         if reference is None:
             reference = table
@@ -129,8 +127,8 @@ def swapping_x():
     """``bind_outcomes`` whose ``X`` also swaps wires 1 and 2 of the state."""
     bind = S.bind_outcomes
 
-    def bind_outcomes(f, wires, width, labels=None):
-        fire = bind(f, wires, width, labels)
+    def bind_outcomes(f, wires, width):
+        fire = bind(f, wires, width)
         if f.name != "X":
             return fire
 
