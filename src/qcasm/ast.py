@@ -11,6 +11,10 @@ a concrete integer and every measurement expression is a resolved family.
 
 ``well_formed`` checks ground rules against the language's static rules and
 returns diagnostics tagged with the violated clause.
+
+``compile_expr`` is the one compiler of classical expressions; elaboration
+compiles each expression node once per ``elaborate`` call and expands
+every binder (for-loops, forall rules and input conjuncts) in one place.
 """
 from __future__ import annotations
 
@@ -180,33 +184,36 @@ def _grover_rounds(n_val: int) -> int:
 STATIC_FUNCTIONS = {"grover_rounds": _grover_rounds}
 
 
+def _subexpressions(e: Expr):
+    """``e`` and every expression inside it."""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        yield e
+        if isinstance(e, BinOp):
+            stack += (e.left, e.right)
+        elif isinstance(e, UnOp):
+            stack.append(e.operand)
+        elif isinstance(e, Call):
+            stack += e.args
+
+
 def expr_names(e: Expr) -> frozenset[str]:
     """All variable names referenced anywhere in an expression."""
-    if isinstance(e, Name):
-        return frozenset((e.ident,))
-    if isinstance(e, BinOp):
-        return expr_names(e.left) | expr_names(e.right)
-    if isinstance(e, UnOp):
-        return expr_names(e.operand)
-    if isinstance(e, Call):
-        out: frozenset[str] = frozenset()
-        for a in e.args:
-            out |= expr_names(a)
-        return out
-    return frozenset()
+    return frozenset(s.ident for s in _subexpressions(e) if isinstance(s, Name))
 
 
 def expr_calls(e: Expr) -> frozenset[str]:
-    if isinstance(e, BinOp):
-        return expr_calls(e.left) | expr_calls(e.right)
-    if isinstance(e, UnOp):
-        return expr_calls(e.operand)
-    if isinstance(e, Call):
-        out = frozenset((e.fn,))
-        for a in e.args:
-            out |= expr_calls(a)
-        return out
-    return frozenset()
+    """All function names applied anywhere in an expression."""
+    return frozenset(s.fn for s in _subexpressions(e) if isinstance(s, Call))
+
+
+def _reject_measurement_call(fn: str, registry: Registry) -> None:
+    """Raise the measurement-outside-gate-rule error if ``fn`` names a gate
+    or measurement the registry knows: classical expressions apply none."""
+    if registry.knows_gate(fn):
+        raise ElaborationError(f"measurement expression {fn!r} may occur only within a gate rule",
+                               clause=CLAUSE_MEASUREMENT_OUTSIDE_GATE_RULE)
 
 
 def substitute(e: Expr, env: Mapping[str, int]) -> Expr:
@@ -271,16 +278,14 @@ def compile_expr(e: Expr, err=SimulationError, registry: Registry | None = None
                     return store[key]
                 raise err(f"dynamic function value {key!r} has no value")
             return call
-        if (registry or Registry()).knows_gate(fn):
-            message = f"measurement expression {fn!r} may occur only within a gate rule"
-            tag = {"clause": CLAUSE_MEASUREMENT_OUTSIDE_GATE_RULE}
-        else:
-            message, tag = f"unknown function {fn!r} in compile-time expression", {}
-    else:
-        message, tag = f"cannot evaluate {e!r}", {}
+
+        def unknown(store):
+            _reject_measurement_call(fn, registry or Registry())
+            raise err(f"unknown function {fn!r} in compile-time expression")
+        return unknown
 
     def fail(store):
-        raise err(message, **tag)
+        raise err(f"cannot evaluate {e!r}")
     return fail
 
 
@@ -683,6 +688,9 @@ class _Elaborator:
         # it share the one immutable object.  It lives for one elaborate()
         # call, as the registry may change between calls.
         self.families: dict[tuple, MeasurementFamily] = {}
+        # Each expression node compiled once, keyed by id; the entry holds
+        # the node, so its id is not reused while the entry lives.
+        self.compiled: dict[int, tuple[Expr, Callable]] = {}
 
     def memo(self, key: tuple, build) -> MeasurementFamily:
         fam = self.families.get(key)
@@ -691,7 +699,10 @@ class _Elaborator:
         return fam
 
     def eval(self, e: Expr, env) -> int:
-        v = compile_expr(e, ElaborationError, self.registry)(env)
+        entry = self.compiled.get(id(e))
+        if entry is None:
+            entry = self.compiled[id(e)] = (e, compile_expr(e, ElaborationError, self.registry))
+        v = entry[1](env)
         if not _is_int(v):
             raise ElaborationError(f"expected an integer, got {v!r}")
         return v
@@ -717,14 +728,8 @@ class _Elaborator:
     def runtime_expr(self, e: Expr, env) -> Expr:
         """Substitute compile-time names and vet calls in a run-time expression."""
         e = substitute(e, env)
-        for fn in sorted(expr_calls(e)):
-            if fn in STATIC_FUNCTIONS:
-                continue
-            if self.registry.knows_gate(fn):
-                raise ElaborationError(
-                    f"measurement expression {fn!r} may occur only within a gate rule",
-                    clause=CLAUSE_MEASUREMENT_OUTSIDE_GATE_RULE,
-                )
+        for fn in sorted(expr_calls(e) - STATIC_FUNCTIONS.keys()):
+            _reject_measurement_call(fn, self.registry)
         return e
 
     def family(self, mexpr: MeasurementExpr, env,
@@ -795,18 +800,13 @@ class _Elaborator:
                 raise ElaborationError("conditional has mismatched guards and branches")
             return ClassicalCond(guards, tuple(branches), pos=r.pos)
         if isinstance(r, Parallel):
-            if r.binder is not None:
-                bodies = []
-                for v in self.domain_values(r.binder.domain, env):
-                    bodies.append(self.rule(r.bodies[0], {**env, r.binder.var: v}))
-                return self.compose(Parallel, bodies, r.pos)
-            return self.compose(Parallel, [self.rule(b, env) for b in r.bodies], r.pos)
+            bodies = [self.rule(b, sub) for sub in self.envs(r.binder, env) for b in r.bodies]
+            return self.compose(Parallel, bodies, r.pos)
         if isinstance(r, Sequential):
             return self.compose(Sequential, [self.rule(p, env) for p in r.parts], r.pos)
         if isinstance(r, ForLoop):
-            lo = self.eval(r.start, env)
-            hi = self.eval(r.stop, env)
-            parts = [self.rule(r.body, {**env, r.var: i}) for i in range(lo, hi + 1)]
+            loop = Binder(r.var, Range(r.start, r.stop))
+            parts = [self.rule(r.body, sub) for sub in self.envs(loop, env)]
             return self.compose(Sequential, parts, r.pos)
         if isinstance(r, Skip):
             return r
@@ -822,10 +822,18 @@ class _Elaborator:
             return kept[0]
         return cls(tuple(kept), pos=pos)
 
-    def domain_values(self, domain, env) -> list[int]:
+    def envs(self, binder: Binder | None, env):
+        """``env`` extended by each value of the binder's domain, in order
+        (a Range is inclusive), or ``env`` alone with no binder.  The
+        domain is evaluated at once, each environment made as it is used."""
+        if binder is None:
+            return (env,)
+        domain = binder.domain
         if isinstance(domain, Range):
-            return list(range(self.eval(domain.lo, env), self.eval(domain.hi, env) + 1))
-        return [self.eval(item, env) for item in domain.items]
+            values = range(self.eval(domain.lo, env), self.eval(domain.hi, env) + 1)
+        else:
+            values = [self.eval(item, env) for item in domain.items]
+        return ({**env, binder.var: v} for v in values)
 
     def state_desc(self, desc: StateDesc, env) -> StateDesc:
         if isinstance(desc, KetState):
@@ -855,14 +863,9 @@ class _Elaborator:
             return None
         conjuncts: list[InputConjunct] = []
         for c in decl.conjuncts:
-            if c.binder is not None:
-                for v in self.domain_values(c.binder.domain, env):
-                    sub = {**env, c.binder.var: v}
-                    conjuncts.append(InputConjunct(
-                        self.state_desc(c.state, sub), self.wires(c.wires, sub), pos=c.pos))
-            else:
+            for sub in self.envs(c.binder, env):
                 conjuncts.append(InputConjunct(
-                    self.state_desc(c.state, env), self.wires(c.wires, env), pos=c.pos))
+                    self.state_desc(c.state, sub), self.wires(c.wires, sub), pos=c.pos))
         used: set[int] = set()
         for c in conjuncts:
             m = self.state_width(c.state)
@@ -894,9 +897,6 @@ def elaborate(program: Program, bindings: Mapping[str, int] | None = None,
     elab = _Elaborator(registry)
     body = elab.rule(program.body, env)
     ground = Program((), elab.input_decl(program.input_decl, env), body)
-    width = program_width(ground)
-    if width > qmath.MAX_WIDTH:
-        raise ElaborationError(f"program width {width} exceeds the maximum {qmath.MAX_WIDTH}")
     for _, g in _gate_rules(ground.body, "body"):
         if g.out in env:
             raise ElaborationError(f"output variable {g.out!r} collides with a parameter name")

@@ -58,10 +58,7 @@ class Gate:
         return f"{head}{text}({wires})"
 
     def reads(self) -> frozenset[str]:
-        names: set[str] = set()
-        for g in self.guards:
-            names |= ast.expr_names(g)
-        return frozenset(names)
+        return frozenset().union(*map(ast.expr_names, self.guards))
 
 
 @dataclass
@@ -171,9 +168,7 @@ class _Lowerer:
             return self.compose("seq", r.parts)
         if isinstance(r, ast.Parallel):
             return self.compose("par", r.bodies)
-        if isinstance(r, (ast.ClassicalAssign, ast.ClassicalCond, ast.Skip)):
-            return None
-        raise LoweringError(f"cannot lower rule {type(r).__name__}")
+        return None  # classical rules and skip hold no gate
 
     def compose(self, kind: str, parts) -> DecompTree | None:
         children = [t for t in (self.rule(p) for p in parts) if t is not None]
@@ -193,15 +188,15 @@ class _Lowerer:
             if chain:
                 direct.add(chain[-1])
             chain.append(gid)
-        for var in sorted(set().union(*(ast.expr_names(g) for g in r.guards)) if r.guards else set()):
-            producer = self.producers.get(var)
-            if producer is None:
-                raise LoweringError(f"guard reads {var!r} before any gate outputs it")
+        gate = Gate(gid, wires, r.out, tuple(r.guards), tuple(r.branches))
+        # Well formedness guarantees an earlier gate outputs each guard variable.
+        for var in sorted(gate.reads()):
+            producer = self.producers[var]
             direct.add(producer)
             self.deps.append((producer, gid, var))
         if r.out is not None:
             self.producers[r.out] = gid
-        self.gates.append(Gate(gid, wires, r.out, tuple(r.guards), tuple(r.branches)))
+        self.gates.append(gate)
         self.prereq[gid] = direct
         return gid
 
@@ -388,18 +383,8 @@ def check_schedule(circuit: GeneralizedCircuit, schedule: Schedule) -> None:
                                     f"prerequisite {p} has not fired")
 
 
-def all_schedules(circuit: GeneralizedCircuit,
-                  max_count: int | None = None) -> list[Schedule]:
-    """Every schedule of the circuit: all ways to split the gates into
-    successive rounds of ready, mutually independent gates.
-
-    Bouts must be antichains of the prerequisite order whose members are
-    all ready when the bout fires, so each step chooses a nonempty
-    subset of the currently minimal gates.  Raises CapExceededError when
-    more than max_count schedules exist.
-    """
-    results: list[Schedule] = []
-
+def _schedules(circuit: GeneralizedCircuit):
+    """Every schedule of the circuit, one at a time, in listing order."""
     def extensions(remaining: frozenset[Gid], prefix: tuple):
         # Fired gates include all their prerequisites, so direct ones suffice.
         ready = sorted(g for g in remaining if circuit.prereq[g].isdisjoint(remaining))
@@ -414,11 +399,26 @@ def all_schedules(circuit: GeneralizedCircuit,
             if remaining:
                 stack.append(extensions(remaining, prefix))
                 break
-            results.append(prefix)
-            if max_count is not None and len(results) > max_count:
-                raise CapExceededError(f"more than {max_count} schedules")
+            yield prefix
         else:
             stack.pop()
+
+
+def all_schedules(circuit: GeneralizedCircuit,
+                  max_count: int | None = None) -> list[Schedule]:
+    """Every schedule of the circuit: all ways to split the gates into
+    successive rounds of ready, mutually independent gates.
+
+    Bouts must be antichains of the prerequisite order whose members are
+    all ready when the bout fires, so each step chooses a nonempty
+    subset of the currently minimal gates.  Raises CapExceededError when
+    more than max_count schedules exist.
+    """
+    results: list[Schedule] = []
+    for schedule in _schedules(circuit):
+        results.append(schedule)
+        if max_count is not None and len(results) > max_count:
+            raise CapExceededError(f"more than {max_count} schedules")
     return results
 
 

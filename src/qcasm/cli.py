@@ -140,6 +140,8 @@ def _prepare(args) -> sim.PreparedProgram:
     if schedule != "greedy":
         try:
             index = int(schedule)
+            if index < 0:
+                raise ValueError
         except ValueError:
             raise _UsageError(f"--schedule wants 'greedy' or an index, "
                               f"got {schedule!r}") from None
@@ -148,11 +150,13 @@ def _prepare(args) -> sim.PreparedProgram:
     prep = sim.prepare(parse(_read_program(args.program)), bindings, registry)
     if index is None:
         return prep
-    options = circuit.all_schedules(prep.circuit)
-    if not 0 <= index < len(options):
-        raise QcasmError(f"schedule index {index} out of range; "
-                         f"the circuit has {len(options)} schedules")
-    return prep.with_schedule(options[index])
+    # List the schedules only up to the one asked for.
+    count = 0
+    for count, option in enumerate(circuit._schedules(prep.circuit), 1):
+        if count > index:
+            return prep.with_schedule(option)
+    raise QcasmError(f"schedule index {index} out of range; "
+                     f"the circuit has {count} schedules")
 
 
 # ---------------------------------------------------------------------------

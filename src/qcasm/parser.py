@@ -23,6 +23,9 @@ first: ``or``; ``and``; prefix ``not``; ``=`` and ``<``
 prefix ``-`` and ``^`` (right-associative), so ``-a^b`` is ``-(a^b)``
 and ``2^-1`` parses.
 
+Each construct has one parsing method: ``_Parser.items`` reads every
+separated list and ``_Parser.binder`` every ``forall`` binder.
+
 ``parse`` is total: it returns a Program or raises ParseError with a
 line/column position.  ``pretty`` renders a parsed program back to text
 that re-parses to an equal tree.
@@ -162,6 +165,23 @@ class _Parser:
         tok = self.peek()
         return (tok.line, tok.column)
 
+    def items(self, item, sep: str = ",") -> list:
+        """``item {sep item}``: every separated list of the grammar."""
+        out = [item()]
+        while self.at(sep):
+            self.advance()
+            out.append(item())
+        return out
+
+    def binder(self, domain) -> ast.Binder:
+        """``forall var in domain :``, the domain read by ``domain``."""
+        self.expect("forall")
+        var = self.expect("ident", "a binder variable").text
+        self.expect("in")
+        bound = domain()
+        self.expect(":")
+        return ast.Binder(var, bound)
+
     # -- program -----------------------------------------------------------
 
     def program(self) -> ast.Program:
@@ -196,11 +216,7 @@ class _Parser:
             return None
 
     def input_decl(self) -> ast.InputDecl:
-        conjuncts = [self.input_conjunct()]
-        while self.at("and"):
-            self.advance()
-            conjuncts.append(self.input_conjunct())
-        return ast.InputDecl(tuple(conjuncts))
+        return ast.InputDecl(tuple(self.items(self.input_conjunct, "and")))
 
     def input_conjunct(self) -> ast.InputConjunct:
         pos = self.pos()
@@ -210,18 +226,14 @@ class _Parser:
             self.expect("}")
             return c
         if self.at("forall"):
-            self.advance()
-            var = self.expect("ident", "a binder variable").text
-            self.expect("in")
-            domain = self.range_literal()
-            self.expect(":")
+            binder = self.binder(self.range_literal)
             state = self.state_desc()
             self.expect("on")
             wire = self.expr(5)
-            return ast.InputConjunct(state, (wire,), binder=ast.Binder(var, domain), pos=pos)
+            return ast.InputConjunct(state, (wire,), binder=binder, pos=pos)
         state = self.state_desc()
         self.expect("on")
-        wires = self.wire_items()
+        wires = tuple(self.items(self.wire_item))
         return ast.InputConjunct(state, wires, pos=pos)
 
     def state_desc(self) -> ast.StateDesc:
@@ -235,22 +247,15 @@ class _Parser:
         args: tuple = ()
         if self.at("("):
             self.advance()
-            items = [self.expr()]
-            while self.at(","):
-                self.advance()
-                items.append(self.expr())
+            args = tuple(self.items(self.expr))
             self.expect(")")
-            args = tuple(items)
         return ast.NamedStateRef(name, args)
 
     # -- rules ---------------------------------------------------------------
 
     def seq(self) -> ast.Rule:
         pos = self.pos()
-        parts = [self.par()]
-        while self.at(";"):
-            self.advance()
-            parts.append(self.par())
+        parts = self.items(self.par, ";")
         if len(parts) == 1:
             return parts[0]
         return ast.Sequential(tuple(parts), pos=pos)
@@ -258,17 +263,9 @@ class _Parser:
     def par(self) -> ast.Rule:
         pos = self.pos()
         if self.at("forall"):
-            self.advance()
-            var = self.expect("ident", "a binder variable").text
-            self.expect("in")
-            domain = self.domain_literal()
-            self.expect(":")
-            body = self.atom()
-            return ast.Parallel((body,), binder=ast.Binder(var, domain), pos=pos)
-        parts = [self.atom()]
-        while self.at("||"):
-            self.advance()
-            parts.append(self.atom())
+            binder = self.binder(self.domain_literal)
+            return ast.Parallel((self.atom(),), binder=binder, pos=pos)
+        parts = self.items(self.atom, "||")
         if len(parts) == 1:
             return parts[0]
         return ast.Parallel(tuple(parts), pos=pos)
@@ -324,14 +321,10 @@ class _Parser:
             items = self.wire_items_parens()
             if self.at(":="):
                 self.advance()
-                args = []
-                for item in items:
-                    if isinstance(item, ast.WireRange):
-                        raise ParseError("ranges cannot appear in an assignment target",
-                                         name_tok.line, name_tok.column)
-                    args.append(item)
-                value = self.expr()
-                return ast.ClassicalAssign(name, tuple(args), value, pos=pos)
+                if any(isinstance(item, ast.WireRange) for item in items):
+                    raise ParseError("ranges cannot appear in an assignment target",
+                                     name_tok.line, name_tok.column)
+                return ast.ClassicalAssign(name, items, self.expr(), pos=pos)
             mexpr = ast.MeasurementExpr(name)
             return ast.GateRule((), (mexpr,), items, out=None, pos=pos)
         mexpr = self.finish_mexpr(name_tok, phase=None)
@@ -371,12 +364,9 @@ class _Parser:
             return ast.MeasurementExpr(base, (), exponent, phase)
         if rest == "":
             self.expect("(", "a parenthesized gate subscript")
-            params = [self.expr()]
-            while self.at(","):
-                self.advance()
-                params.append(self.expr())
+            params = tuple(self.items(self.expr))
             self.expect(")")
-            return ast.MeasurementExpr(base, tuple(params), None, phase)
+            return ast.MeasurementExpr(base, params, None, phase)
         if rest.isdecimal():
             value = _int_literal(rest, name_tok.line, name_tok.column)
             return ast.MeasurementExpr(base, (ast.IntLit(value),), None, phase)
@@ -420,16 +410,9 @@ class _Parser:
 
     def wire_items_parens(self) -> tuple:
         self.expect("(", "a wire list")
-        items = self.wire_items()
+        items = tuple(self.items(self.wire_item))
         self.expect(")")
         return items
-
-    def wire_items(self) -> tuple:
-        items = [self.wire_item()]
-        while self.at(","):
-            self.advance()
-            items.append(self.wire_item())
-        return tuple(items)
 
     def wire_item(self):
         # Wires are arithmetic; stopping below "and"/"or" keeps the input
@@ -451,12 +434,9 @@ class _Parser:
     def domain_literal(self):
         if self.at("{"):
             self.advance()
-            items = [self.expr()]
-            while self.at(","):
-                self.advance()
-                items.append(self.expr())
+            items = tuple(self.items(self.expr))
             self.expect("}")
-            return ast.SetDomain(tuple(items))
+            return ast.SetDomain(items)
         return self.range_literal()
 
     # -- expressions ----------------------------------------------------------
@@ -490,12 +470,9 @@ class _Parser:
             self.advance()
             if self.at("("):
                 self.advance()
-                args = [self.expr()]
-                while self.at(","):
-                    self.advance()
-                    args.append(self.expr())
+                args = tuple(self.items(self.expr))
                 self.expect(")")
-                return ast.Call(tok.text, tuple(args))
+                return ast.Call(tok.text, args)
             return ast.Name(tok.text)
         if tok.kind == "(":
             self.advance()
@@ -562,11 +539,10 @@ def _pretty_mexpr(m, wires, out: str | None) -> str:
         if m.power is not None:
             name = f"{m.name}_pow({pretty_expr(m.power)})"
         phase = f"(-1)^{pretty_expr(m.phase)} " if m.phase is not None else ""
-        head = f"{out} := " if out else ""
-        return f"{head}{phase}{name}({_pretty_wires(wires)})"
-    # ground branch: a resolved family
+    else:  # ground branch: a resolved family
+        name, phase = m.name, ""
     head = f"{out} := " if out else ""
-    return f"{head}{m.name}({_pretty_wires(wires)})"
+    return f"{head}{phase}{name}({_pretty_wires(wires)})"
 
 
 def _atomic(r: ast.Rule) -> bool:
@@ -575,35 +551,33 @@ def _atomic(r: ast.Rule) -> bool:
     )
 
 
+def _pretty_cond(guards, branches, branch) -> str:
+    """``if g then b {elseif g then b} [else b]``, each branch b written
+    by ``branch``: the text of guarded gates and classical conditionals."""
+    parts = [f"{'elseif' if i else 'if'} {pretty_expr(g)} then {branch(b)}"
+             for i, (g, b) in enumerate(zip(guards, branches))]
+    if len(branches) > len(guards):
+        parts.append(f"else {branch(branches[-1])}")
+    return " ".join(parts)
+
+
 def pretty_rule(r: ast.Rule, top: bool = False) -> str:
     if isinstance(r, ast.Skip):
         return "skip"
     if isinstance(r, ast.GateRule):
         if not r.guards:
             return _pretty_mexpr(r.branches[0], r.wires, r.out)
-        parts = []
-        for i, g in enumerate(r.guards):
-            kw = "if" if i == 0 else "elseif"
-            parts.append(f"{kw} {pretty_expr(g)} then {_pretty_mexpr(r.branches[i], r.wires, r.out)}")
-        if len(r.branches) > len(r.guards):
-            parts.append(f"else {_pretty_mexpr(r.branches[-1], r.wires, r.out)}")
-        return " ".join(parts)
+        return _pretty_cond(r.guards, r.branches, lambda m: _pretty_mexpr(m, r.wires, r.out))
     if isinstance(r, ast.ClassicalAssign):
         target = r.target
         if r.target_args:
             target = f"{r.target}({', '.join(pretty_expr(a) for a in r.target_args)})"
         return f"{target} := {pretty_expr(r.value)}"
     if isinstance(r, ast.ClassicalCond):
-        parts = []
-        for i, g in enumerate(r.guards):
-            kw = "if" if i == 0 else "elseif"
-            parts.append(f"{kw} {pretty_expr(g)} then {_pretty_atom(r.branches[i])}")
-        if len(r.branches) > len(r.guards):
-            parts.append(f"else {_pretty_atom(r.branches[-1])}")
-        return " ".join(parts)
+        return _pretty_cond(r.guards, r.branches, _pretty_atom)
     if isinstance(r, ast.Parallel):
         if r.binder is not None:
-            return f"forall {r.binder.var} in {_pretty_domain(r.binder.domain)}: {_pretty_atom(r.bodies[0])}"
+            return f"{_pretty_binder(r.binder)}{_pretty_atom(r.bodies[0])}"
         return " || ".join(_pretty_atom(b) for b in r.bodies)
     if isinstance(r, ast.Sequential):
         sep = ";\n" if top else "; "
@@ -626,10 +600,13 @@ def _pretty_atom(r: ast.Rule) -> str:
     return "{" + pretty_rule(r) + "}"
 
 
-def _pretty_domain(domain) -> str:
+def _pretty_binder(binder: ast.Binder) -> str:
+    domain = binder.domain
     if isinstance(domain, ast.Range):
-        return f"[{pretty_expr(domain.lo)}, {pretty_expr(domain.hi)}]"
-    return "{" + ", ".join(pretty_expr(i) for i in domain.items) + "}"
+        text = f"[{pretty_expr(domain.lo)}, {pretty_expr(domain.hi)}]"
+    else:
+        text = "{" + ", ".join(pretty_expr(i) for i in domain.items) + "}"
+    return f"forall {binder.var} in {text}: "
 
 
 def _pretty_state(s: ast.StateDesc) -> str:
@@ -642,14 +619,10 @@ def _pretty_state(s: ast.StateDesc) -> str:
 
 
 def pretty_input(decl: ast.InputDecl) -> str:
-    parts = []
-    for c in decl.conjuncts:
-        if c.binder is not None:
-            parts.append(f"forall {c.binder.var} in {_pretty_domain(c.binder.domain)}: "
-                         f"{_pretty_state(c.state)} on {_pretty_wires(c.wires)}")
-        else:
-            parts.append(f"{_pretty_state(c.state)} on {_pretty_wires(c.wires)}")
-    return " and ".join(parts)
+    return " and ".join(
+        f"{_pretty_binder(c.binder) if c.binder is not None else ''}"
+        f"{_pretty_state(c.state)} on {_pretty_wires(c.wires)}"
+        for c in decl.conjuncts)
 
 
 def pretty(p) -> str:

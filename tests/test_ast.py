@@ -1,4 +1,5 @@
 """Expression evaluation, elaboration to ground rules, and the static checks."""
+import dataclasses
 import sys
 
 import numpy as np
@@ -314,6 +315,37 @@ def test_elaboration_checks_each_family_once(monkeypatch):
     A.elaborate(parse("cU(1, 2); cU(2, 1); ccU(3, 1, 2); X_pow(2)(1); X_pow(2)(2)"),
                 registry=reg)
     assert names == ["X^4"]
+
+
+def _expression_nodes(node, found: dict) -> dict:
+    """Every expression node inside a tree of dataclasses and tuples, by id."""
+    if isinstance(node, (A.IntLit, A.Name, A.BinOp, A.UnOp, A.Call)):
+        found[id(node)] = node
+    if isinstance(node, tuple):
+        for item in node:
+            _expression_nodes(item, found)
+    elif dataclasses.is_dataclass(node):
+        for f in dataclasses.fields(node):
+            _expression_nodes(getattr(node, f.name), found)
+    return found
+
+
+@pytest.mark.parametrize("text, bindings", [
+    (corpus_text("grover"), {"n": 6, "N": 64, "m": 45}),
+    ("param n = 50\nfor k = 1 to n: { X(k mod 3 + 1); R_(k mod 5 + 2)(4) }", None),
+], ids=["grover-n6", "loop-50"])
+def test_elaboration_compiles_each_expression_node_once(monkeypatch, text, bindings):
+    compiled = []
+    compile_expr = A.compile_expr
+
+    def counting(e, *args):
+        compiled.append(e)
+        return compile_expr(e, *args)
+
+    monkeypatch.setattr(A, "compile_expr", counting)
+    program = parse(text)
+    A.elaborate(program, bindings)
+    assert 0 < len(compiled) <= len(_expression_nodes(program, {}))
 
 
 def test_gates_share_one_family_per_name_and_params():

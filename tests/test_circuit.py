@@ -384,6 +384,17 @@ def test_lower_requires_well_formedness():
         C.lower(ground("H(1) || X(1)"))
 
 
+@pytest.mark.parametrize("text", ["if q = 1 then X(1)",
+                                  "q := SM(1) || if q = 1 then X(2)"])
+def test_guard_of_an_unproduced_variable_is_ill_formed(text):
+    # Lowering looks each guard variable up among the earlier gates'
+    # outputs with no check of its own: well formedness rejects first.
+    with pytest.raises(LoweringError, match="not well formed") as info:
+        C.lower(ground(text))
+    clauses = {d.clause for d in info.value.diagnostics()}
+    assert A.CLAUSE_UNBOUND_CHANNEL_VARIABLE in clauses
+
+
 def test_lower_requires_a_program():
     with pytest.raises(LoweringError):
         C.lower("H(1)")

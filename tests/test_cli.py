@@ -310,6 +310,28 @@ def test_run_schedule_index(capsys):
                    "--schedule", "fast", capsys=capsys)[0] == 2
 
 
+def test_run_schedule_index_lists_only_up_to_it(capsys, monkeypatch):
+    listed = []
+    schedules = circuit._schedules
+
+    def counting(circ):
+        for schedule in schedules(circ):
+            listed.append(schedule)
+            yield schedule
+
+    monkeypatch.setattr(circuit, "_schedules", counting)
+    # qft n=5 has 14 525 schedules
+    code, out, _ = run_cli("run", QFT, "--param", "n=5", "--schedule", "2", capsys=capsys)
+    assert code == 0 and len(listed) == 3
+    assert json.loads(out)["schedule"] == circuit.schedule_json(listed[2])
+    listed.clear()
+    code, _, err = run_cli("run", QFT, "--param", "n=5", "--schedule", "-1", capsys=capsys)
+    assert code == 2 and err.startswith("usage error:") and listed == []
+    code, _, err = run_cli("run", TELEPORT, "--registry", TELE_REG, "--schedule", "13",
+                           capsys=capsys)
+    assert code == 1 and "schedule index 13 out of range; the circuit has 13 schedules" in err
+
+
 def test_run_phase_estimation_registry(capsys):
     code, out, _ = run_cli("run", PHASE_EST, "--registry", PE_REG, capsys=capsys)
     assert code == 0
