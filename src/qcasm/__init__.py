@@ -15,11 +15,11 @@ branch with exact probabilities.
     [(0, 0.5), (1, 0.5)]
 """
 
-from .ast import (Program, check_program, elaborate, well_formed)
+from .ast import Program, elaborate
 from .circuit import (DecompLeaf, DecompNode, Gate, GeneralizedCircuit,
-                      all_schedules, canonicalize, check_schedule,
+                      all_schedules, canonicalize, check_program, check_schedule,
                       decomposition, greedy_schedule, lower, schedule_from_order,
-                      sp_pairs, to_dot)
+                      sp_pairs, to_dot, well_formed)
 from .errors import (CapExceededError, Diagnostic, ElaborationError,
                      ImpossibleBranchError, LoweringError, ParseError,
                      QcasmError, ScheduleError, SimulationError)

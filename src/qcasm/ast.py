@@ -1,4 +1,4 @@
-"""Program syntax trees, well-formedness checking, and elaboration.
+"""Program syntax trees and elaboration.
 
 A program is an optional parameter/input prelude plus one rule.  Rules come
 in six shapes: gate rules (a guarded assignment of a measurement outcome to
@@ -8,9 +8,12 @@ contain for-loops, binder-style parallel composition ("forall"), and sugar
 (bare gates, "output", guards without else, phase prefixes); ``elaborate``
 removes all of these and produces a ground program in which every wire is
 a concrete integer and every measurement expression is a resolved family.
+An elaboration failure carries the ``line:col`` of the innermost rule or
+input conjunct being elaborated.
 
-``well_formed`` checks ground rules against the language's static rules and
-returns diagnostics tagged with the violated clause.
+The static well-formedness clauses are checked on ground rules by the
+walk that lowers them to a circuit (``circuit.well_formed``); the clause
+tags are defined here.
 
 ``compile_expr`` is the one compiler of classical expressions; elaboration
 compiles each expression node once per ``elaborate`` call and expands
@@ -18,14 +21,13 @@ every binder (for-loops, forall rules and input conjuncts) in one place.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Union
 
 from . import qmath
-from .errors import Diagnostic, ElaborationError, QmathError, SimulationError
+from .errors import ElaborationError, QcasmError, QmathError, SimulationError
 from .qmath import MeasurementFamily, Registry
 
 # Machine-readable tags for the static well-formedness rules.
@@ -446,219 +448,23 @@ class Program:
     body: Rule
 
 
-# ---------------------------------------------------------------------------
-# attributes of ground rules
-# ---------------------------------------------------------------------------
-
-def _parts(r: Rule) -> tuple[str | None, tuple[Rule, ...]]:
-    """The field that holds a rule's sub-rules, and the sub-rules: a
-    conditional's branches, a parallel's bodies, a sequence's parts.
-    Gate rules, classical assignments and skip have none; a field of
-    None marks a shape only surface programs have (a for-loop)."""
-    if isinstance(r, (GateRule, ClassicalAssign, Skip)):
-        return "", ()
-    if isinstance(r, ClassicalCond):
-        return "branches", r.branches
-    if isinstance(r, Parallel):
-        return "bodies", r.bodies
-    if isinstance(r, Sequential):
-        return "parts", r.parts
-    return None, ()
-
-
-def _ground_parts(r: Rule, walker: str) -> tuple[Rule, ...]:
-    name, parts = _parts(r)
-    if name is None:
-        raise ElaborationError(f"{walker} needs a ground rule, got {type(r).__name__}")
-    return parts
-
-
-def _gate_union(r: Rule, leaf, walker: str) -> frozenset:
-    """Union of leaf(g) over the gate rules g of r, not descending into
-    classical conditionals (they hold no gate rules when well formed)."""
-    if isinstance(r, GateRule):
-        return leaf(r)
-    if isinstance(r, ClassicalCond):
-        return frozenset()
-    return frozenset().union(*(_gate_union(p, leaf, walker) for p in _ground_parts(r, walker)))
-
-
-def wire_set(r: Rule) -> frozenset[int]:
-    """Wires a ground rule acts on; classical rules act on none."""
-    return _gate_union(r, lambda g: frozenset(int(w) for w in g.wires), "wire_set")
-
-
-def output_vars(r: Rule) -> frozenset[str]:
-    """Channel variables a ground rule assigns; classical rules assign none."""
-    return _gate_union(r, lambda g: frozenset((g.out,)) if g.out else frozenset(), "output_vars")
-
-
-def subrules(r: Rule) -> tuple[Rule, ...]:
-    """The rule itself plus, for compositions and conditionals, all
-    constituents' subrules."""
-    out: list[Rule] = [r]
-    for p in _ground_parts(r, "subrules"):
-        out.extend(subrules(p))
-    return tuple(out)
-
-
-def is_classical(r: Rule) -> bool:
-    """True when the rule contains no gate rule at all."""
-    name, parts = _parts(r)
-    return name is not None and not isinstance(r, GateRule) and all(map(is_classical, parts))
-
-
 def is_ground(r: Rule) -> bool:
+    """True for a rule in the form ``elaborate`` makes: no loops or
+    binders, integer wires, one resolved family per gate guard plus a
+    default, and an else branch on every conditional."""
     if isinstance(r, GateRule):
         return (
             len(r.branches) == len(r.guards) + 1
             and all(isinstance(b, MeasurementFamily) for b in r.branches)
             and all(isinstance(w, int) for w in r.wires)
         )
-    if isinstance(r, ClassicalCond) and len(r.branches) != len(r.guards) + 1:
-        return False
-    if isinstance(r, Parallel) and r.binder is not None:
-        return False
-    name, parts = _parts(r)
-    return name is not None and all(map(is_ground, parts))
-
-
-def _occurring_names(r: Rule) -> frozenset[str]:
-    """Every variable occurrence in a ground rule: expression reads, gate
-    output variables, and classical assignment targets."""
-    if isinstance(r, GateRule):
-        out: frozenset[str] = frozenset((r.out,)) if r.out else frozenset()
-        reads: tuple[Expr, ...] = r.guards
-    elif isinstance(r, ClassicalAssign):
-        out, reads = frozenset((r.target,)), (r.value, *r.target_args)
-    else:  # a conditional reads its guards; compositions read nothing themselves
-        out, reads = frozenset(), getattr(r, "guards", ())
-    return out.union(*map(expr_names, reads), *map(_occurring_names, _parts(r)[1]))
-
-
-def _gate_rules(r: Rule, path: str):
-    if isinstance(r, GateRule):
-        yield path, r
-        return
-    name, parts = _parts(r)
-    for i, p in enumerate(parts):
-        yield from _gate_rules(p, f"{path}.{name}[{i}]")
-
-
-# ---------------------------------------------------------------------------
-# well-formedness
-# ---------------------------------------------------------------------------
-
-def well_formed(rule: Rule, external: frozenset[str] = frozenset()) -> list[Diagnostic]:
-    """Check a ground rule against the static rules; [] means well formed.
-
-    ``external`` is the set of channel variables assumed to be assigned
-    before the rule runs.
-    """
-    diags: list[Diagnostic] = []
-
-    def report(msg, clause, path, pos=None):
-        line, col = pos if pos else (None, None)
-        diags.append(Diagnostic("error", msg, line=line, column=col, clause=clause, path=path))
-
-    all_gates = list(_gate_rules(rule, "body"))
-    out_names: dict[str, str] = {}
-    for path, g in all_gates:
-        if g.out is None:
-            continue
-        if g.out in out_names:
-            report(
-                f"output variable {g.out!r} is assigned by more than one gate rule",
-                CLAUSE_DUPLICATE_OUTPUT_VARIABLE, path, g.pos,
-            )
-        elif g.out in external:
-            report(
-                f"output variable {g.out!r} is already assigned outside the rule",
-                CLAUSE_DUPLICATE_OUTPUT_VARIABLE, path, g.pos,
-            )
-        out_names.setdefault(g.out, path)
-
-    def check(r: Rule, channels: frozenset[str], dynamics: frozenset[str], path: str):
-        """Returns (channel vars, dynamic names) newly defined by r."""
-        if isinstance(r, GateRule):
-            ws = tuple(int(w) for w in r.wires)
-            if len(set(ws)) != len(ws):
-                report(f"gate wires must be pairwise distinct, got {ws}",
-                       CLAUSE_GATE_WIRES_DISTINCT, path, r.pos)
-            for g in r.guards:
-                for n in sorted(expr_names(g)):
-                    if n not in channels:
-                        kind = "a non-channel variable" if n in dynamics else "an unassigned variable"
-                        report(f"guard references {kind} {n!r}; guards may only use channel "
-                               f"variables assigned earlier",
-                               CLAUSE_UNBOUND_CHANNEL_VARIABLE, path, r.pos)
-                for fn in sorted(expr_calls(g)):
-                    if fn not in STATIC_FUNCTIONS:
-                        report(f"guard applies {fn!r}; guards may only use channel variables",
-                               CLAUSE_UNBOUND_CHANNEL_VARIABLE, path, r.pos)
-            return (frozenset((r.out,)) if r.out else frozenset()), frozenset()
-        if isinstance(r, ClassicalAssign):
-            if r.target in out_names or r.target in external:
-                report(f"classical assignment target {r.target!r} is a channel variable",
-                       CLAUSE_ASSIGN_TARGET_NOT_CHANNEL, path, r.pos)
-            for e in (r.value, *r.target_args):
-                for n in sorted(expr_names(e)):
-                    if n not in channels and n not in dynamics:
-                        report(f"expression references {n!r}, which has no value here",
-                               CLAUSE_UNBOUND_CHANNEL_VARIABLE, path, r.pos)
-            return frozenset(), frozenset((r.target,))
-        if isinstance(r, ClassicalCond):
-            for g in r.guards:
-                for n in sorted(expr_names(g)):
-                    if n not in channels and n not in dynamics:
-                        report(f"guard references {n!r}, which has no value here",
-                               CLAUSE_UNBOUND_CHANNEL_VARIABLE, path, r.pos)
-            new_dyn: frozenset[str] = frozenset()
-            for i, b in enumerate(r.branches):
-                if not is_classical(b):
-                    report("classical conditional branch contains a measurement or gate rule",
-                           CLAUSE_MEASUREMENT_OUTSIDE_GATE_RULE, f"{path}.branches[{i}]", r.pos)
-                _, dyn = check(b, channels, dynamics, f"{path}.branches[{i}]")
-                new_dyn |= dyn
-            return frozenset(), new_dyn
-        if isinstance(r, Parallel):
-            # Each component's facts are found once: what check() defines
-            # (its output variables and new dynamic names), its wire set
-            # and the names occurring in it.
-            defined = [check(b, channels, dynamics, f"{path}.bodies[{i}]")
-                       for i, b in enumerate(r.bodies)]
-            wires = [wire_set(b) for b in r.bodies]
-            names = [_occurring_names(b) for b in r.bodies]
-            for i, j in itertools.combinations(range(len(wires)), 2):
-                if wires[i] & wires[j]:
-                    report(f"parallel components must have pairwise disjoint wire sets; "
-                           f"wires {sorted(wires[i] & wires[j])} are shared between "
-                           f"components {i} and {j}",
-                           CLAUSE_PARALLEL_DISJOINT_WIRES, path, r.pos)
-            for i, (outs, _) in enumerate(defined):
-                for j, used in enumerate(names):
-                    if i != j:
-                        for n in sorted(outs & used):
-                            report(f"output variable {n!r} of one parallel component occurs "
-                                   f"in a sibling component",
-                                   CLAUSE_PARALLEL_SIBLING_OUTPUT, path, r.pos)
-            return (frozenset().union(*(ch for ch, _ in defined)),
-                    frozenset().union(*(dyn for _, dyn in defined)))
-        if isinstance(r, Sequential):
-            acc_ch: frozenset[str] = frozenset()
-            acc_dyn: frozenset[str] = frozenset()
-            for i, p in enumerate(r.parts):
-                ch, dyn = check(p, channels | acc_ch, dynamics | acc_dyn, f"{path}.parts[{i}]")
-                acc_ch |= ch
-                acc_dyn |= dyn
-            return acc_ch, acc_dyn
-        if isinstance(r, Skip):
-            return frozenset(), frozenset()
-        report(f"rule is not ground: {type(r).__name__}", None, path, getattr(r, "pos", None))
-        return frozenset(), frozenset()
-
-    check(rule, external, frozenset(), "body")
-    return diags
+    if isinstance(r, ClassicalCond):
+        return len(r.branches) == len(r.guards) + 1 and all(map(is_ground, r.branches))
+    if isinstance(r, Parallel):
+        return r.binder is None and all(map(is_ground, r.bodies))
+    if isinstance(r, Sequential):
+        return all(map(is_ground, r.parts))
+    return isinstance(r, (ClassicalAssign, Skip))
 
 
 # ---------------------------------------------------------------------------
@@ -680,9 +486,18 @@ def _merge_bindings(params: tuple[ParamDecl, ...], bindings: Mapping[str, int] |
     return env
 
 
+def _locate(exc: QcasmError, pos: tuple[int, int] | None) -> None:
+    """Give ``exc`` the position ``pos`` unless it has one already: the
+    innermost rule or input conjunct that fails sets it first."""
+    if exc.line is None and pos is not None:
+        exc.line, exc.column = pos
+
+
 class _Elaborator:
-    def __init__(self, registry: Registry | None):
+    def __init__(self, registry: Registry | None, params: frozenset[str]):
         self.registry = registry if registry is not None else Registry()
+        # The program's parameter names, which no gate output may take.
+        self.params = params
         # Each family this elaboration has built (and checked once), keyed
         # by its evaluated name, parameters and power; all gates that use
         # it share the one immutable object.  It lives for one elaborate()
@@ -779,37 +594,43 @@ class _Elaborator:
         guards = tuple(g for g, _ in entries[:-1])
         if any(g is None for g in guards):
             raise ElaborationError("conditional gate has a non-final default branch")
+        if r.out in self.params:
+            raise ElaborationError(f"output variable {r.out!r} collides with a parameter name")
         return GateRule(guards, tuple(f for _, f in entries), wires, r.out, pos=r.pos)
 
     def rule(self, r: Rule, env) -> Rule:
-        if isinstance(r, GateRule):
-            return self.gate(r, env)
-        if isinstance(r, ClassicalAssign):
-            return ClassicalAssign(
-                r.target,
-                tuple(self.runtime_expr(a, env) for a in r.target_args),
-                self.runtime_expr(r.value, env),
-                pos=r.pos,
-            )
-        if isinstance(r, ClassicalCond):
-            guards = tuple(self.runtime_expr(g, env) for g in r.guards)
-            branches = [self.rule(b, env) for b in r.branches]
-            if len(branches) == len(guards):
-                branches.append(Skip())
-            if len(branches) != len(guards) + 1:
-                raise ElaborationError("conditional has mismatched guards and branches")
-            return ClassicalCond(guards, tuple(branches), pos=r.pos)
-        if isinstance(r, Parallel):
-            bodies = [self.rule(b, sub) for sub in self.envs(r.binder, env) for b in r.bodies]
-            return self.compose(Parallel, bodies, r.pos)
-        if isinstance(r, Sequential):
-            return self.compose(Sequential, [self.rule(p, env) for p in r.parts], r.pos)
-        if isinstance(r, ForLoop):
-            loop = Binder(r.var, Range(r.start, r.stop))
-            parts = [self.rule(r.body, sub) for sub in self.envs(loop, env)]
-            return self.compose(Sequential, parts, r.pos)
-        if isinstance(r, Skip):
-            return r
+        try:
+            if isinstance(r, GateRule):
+                return self.gate(r, env)
+            if isinstance(r, ClassicalAssign):
+                return ClassicalAssign(
+                    r.target,
+                    tuple(self.runtime_expr(a, env) for a in r.target_args),
+                    self.runtime_expr(r.value, env),
+                    pos=r.pos,
+                )
+            if isinstance(r, ClassicalCond):
+                guards = tuple(self.runtime_expr(g, env) for g in r.guards)
+                branches = [self.rule(b, env) for b in r.branches]
+                if len(branches) == len(guards):
+                    branches.append(Skip())
+                if len(branches) != len(guards) + 1:
+                    raise ElaborationError("conditional has mismatched guards and branches")
+                return ClassicalCond(guards, tuple(branches), pos=r.pos)
+            if isinstance(r, Parallel):
+                bodies = [self.rule(b, sub) for sub in self.envs(r.binder, env) for b in r.bodies]
+                return self.compose(Parallel, bodies, r.pos)
+            if isinstance(r, Sequential):
+                return self.compose(Sequential, [self.rule(p, env) for p in r.parts], r.pos)
+            if isinstance(r, ForLoop):
+                loop = Binder(r.var, Range(r.start, r.stop))
+                parts = [self.rule(r.body, sub) for sub in self.envs(loop, env)]
+                return self.compose(Sequential, parts, r.pos)
+            if isinstance(r, Skip):
+                return r
+        except (ElaborationError, QmathError) as exc:
+            _locate(exc, r.pos)
+            raise
         raise ElaborationError(f"cannot elaborate {type(r).__name__}")
 
     @staticmethod
@@ -862,23 +683,25 @@ class _Elaborator:
         if decl is None:
             return None
         conjuncts: list[InputConjunct] = []
-        for c in decl.conjuncts:
-            for sub in self.envs(c.binder, env):
-                conjuncts.append(InputConjunct(
-                    self.state_desc(c.state, sub), self.wires(c.wires, sub), pos=c.pos))
         used: set[int] = set()
-        for c in conjuncts:
-            m = self.state_width(c.state)
-            if m is not None and m != len(c.wires):
-                raise ElaborationError(
-                    f"input state covers {m} wire(s) but is declared on {len(c.wires)}"
-                )
-            if len(set(c.wires)) != len(c.wires):
-                raise ElaborationError(f"input declaration repeats wires {c.wires}")
-            overlap = used & set(c.wires)
-            if overlap:
-                raise ElaborationError(f"input declaration wires overlap at {sorted(overlap)}")
-            used |= set(c.wires)
+        for c in decl.conjuncts:
+            try:
+                for sub in self.envs(c.binder, env):
+                    state, wires = self.state_desc(c.state, sub), self.wires(c.wires, sub)
+                    m = self.state_width(state)
+                    if m is not None and m != len(wires):
+                        raise ElaborationError(f"input state covers {m} wire(s) but is "
+                                               f"declared on {len(wires)}")
+                    if len(set(wires)) != len(wires):
+                        raise ElaborationError(f"input declaration repeats wires {wires}")
+                    if used & set(wires):
+                        raise ElaborationError(
+                            f"input declaration wires overlap at {sorted(used & set(wires))}")
+                    used |= set(wires)
+                    conjuncts.append(InputConjunct(state, wires, pos=c.pos))
+            except (ElaborationError, QmathError) as exc:
+                _locate(exc, c.pos)
+                raise
         return InputDecl(tuple(conjuncts)) if conjuncts else None
 
 
@@ -890,35 +713,12 @@ def elaborate(program: Program, bindings: Mapping[str, int] | None = None,
     unrolled (empty ranges become skip); binder parallels and input binders
     are expanded; guard sugar gains an identity default branch; phase
     prefixes become explicit guard branches; measurement expressions are
-    resolved against the registry.  Elaborating a ground program is the
-    identity.
+    resolved against the registry.  The result is ground (``is_ground``),
+    which ``sim.prepare`` relies on unchecked.  A gate output that names a
+    parameter is rejected.  Elaborating a ground program is the identity.
     """
     env = _merge_bindings(program.params, bindings)
-    elab = _Elaborator(registry)
+    elab = _Elaborator(registry, frozenset(env))
     body = elab.rule(program.body, env)
-    ground = Program((), elab.input_decl(program.input_decl, env), body)
-    for _, g in _gate_rules(ground.body, "body"):
-        if g.out in env:
-            raise ElaborationError(f"output variable {g.out!r} collides with a parameter name")
-    return ground
+    return Program((), elab.input_decl(program.input_decl, env), body)
 
-
-def program_width(program: Program) -> int:
-    """Number of wires: the largest wire index mentioned anywhere (min 1)."""
-    width = 1
-    for w in wire_set(program.body):
-        width = max(width, w)
-    if program.input_decl is not None:
-        for c in program.input_decl.conjuncts:
-            width = max(width, max(c.wires))
-    return width
-
-
-def check_program(program: Program, bindings: Mapping[str, int] | None = None,
-                  registry: Registry | None = None) -> tuple[Program | None, list[Diagnostic]]:
-    """Elaborate and check; returns the ground program (or None) plus diagnostics."""
-    try:
-        ground = elaborate(program, bindings, registry)
-    except (ElaborationError, QmathError) as exc:
-        return None, exc.diagnostics()
-    return ground, well_formed(ground.body)

@@ -12,6 +12,12 @@ source tree: the id of a gate is (w, k) where w is its lowest wire and k
 is how many earlier gates touch that wire.  Programs that differ only in
 how independent parts are grouped therefore lower to equal circuits.
 
+Lowering is one walk over the ground program that also checks it
+against the static clauses of the language (distinct gate wires,
+disjoint wires across ``||``, guards that read only channel variables
+assigned earlier, ...): ``well_formed`` and ``check_program`` report
+that walk's diagnostics, and ``lower`` raises them.
+
 The module also extracts the series-parallel decomposition tree of the
 gate occurrences, turns it into a partial order, and derives schedules:
 partitions of the gates into rounds of mutually independent gates,
@@ -20,12 +26,15 @@ ordered consistently with every prerequisite.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Mapping
 
 from . import ast
-from .errors import CapExceededError, IllFormedError, LoweringError, ScheduleError
-from .qmath import MeasurementFamily
+from .errors import (CapExceededError, Diagnostic, ElaborationError, IllFormedError,
+                     LoweringError, QmathError, ScheduleError)
+from .qmath import MeasurementFamily, Registry
 
 Gid = tuple[int, int]
 Schedule = tuple[tuple[Gid, ...], ...]
@@ -147,39 +156,122 @@ def _require_ground(program: ast.Program) -> ast.Program:
         raise LoweringError("lowering needs a Program")
     if program.params or not ast.is_ground(program.body):
         raise LoweringError("lowering needs an elaborated program; call elaborate() first")
-    diags = ast.well_formed(program.body, external=set())
-    if diags:
-        raise IllFormedError(diags)
     return program
 
 
+def _path_text(path) -> str:
+    """A path (parent, field, index), or None at the top, as text."""
+    steps = []
+    while path is not None:
+        path, name, i = path
+        steps.append(f".{name}[{i}]")
+    return "body" + "".join(reversed(steps))
+
+
+@dataclass
+class _Component:
+    """What the clauses of ``||`` compare between its components: the
+    wires their gates act on and the channel variables they assign (not
+    counting a gate inside a classical conditional), and every variable
+    that occurs in the component."""
+    wires: set[int] = field(default_factory=set)
+    outs: set[str] = field(default_factory=set)
+    names: set[str] = field(default_factory=set)
+
+
 class _Lowerer:
-    def __init__(self, width: int):
-        self.wiring: dict[int, list[Gid]] = {w: [] for w in range(1, width + 1)}
+    """One walk over a ground rule that checks the static clauses and
+    builds the wiring, the producers of channel variables, the
+    prerequisites and the decomposition tree; the circuit is the
+    program's when no diagnostic was found.  ``channels`` and
+    ``dynamics`` are the channel variables and dynamic names assigned
+    before the rule being walked.  A classical assignment target is
+    checked at the end, against every gate output, later ones included;
+    the lines of duplicate outputs come first.  A path is made into text
+    only for a diagnostic."""
+
+    def __init__(self, external: frozenset[str] = frozenset()):
+        self.external = self.channels = frozenset(external)
+        self.dynamics: frozenset[str] = frozenset()
+        self.outputs: set[str] = set()
+        self.duplicates: list[Diagnostic] = []
+        self.found: list = []  # diagnostics, and (target, path, pos) of each assignment
+        self.wiring: dict[int, list[Gid]] = defaultdict(list)
         self.producers: dict[str, Gid] = {}
         self.gates: list[Gate] = []
         self.deps: list[tuple[Gid, Gid, str]] = []
         self.prereq: dict[Gid, set[Gid]] = {}
 
-    def rule(self, r: ast.Rule) -> DecompTree | None:
+    @staticmethod
+    def error(msg: str, clause: str | None, path, pos) -> Diagnostic:
+        line, col = pos if pos else (None, None)
+        return Diagnostic("error", msg, line=line, column=col, clause=clause,
+                          path=_path_text(path))
+
+    def report(self, msg: str, clause: str | None, path, pos) -> None:
+        self.found.append(self.error(msg, clause, path, pos))
+
+    def diagnostics(self) -> list[Diagnostic]:
+        out = list(self.duplicates)
+        for d in self.found:
+            if isinstance(d, Diagnostic):
+                out.append(d)
+            elif d[0] in self.outputs or d[0] in self.external:
+                out.append(self.error(f"classical assignment target {d[0]!r} is a channel variable",
+                                      ast.CLAUSE_ASSIGN_TARGET_NOT_CHANNEL, *d[1:]))
+        return out
+
+    def rule(self, r: ast.Rule, path, part: _Component) -> DecompTree | None:
+        """Walk ``r`` at ``path`` as a piece of ``part``, the component of
+        the innermost ``||`` around it."""
         if isinstance(r, ast.GateRule):
-            return DecompLeaf(self.gate(r))
+            return DecompLeaf(self.gate(r, path, part))
         if isinstance(r, ast.Sequential):
-            return self.compose("seq", r.parts)
+            return _node("seq", [self.rule(p, (path, "parts", i), part)
+                                 for i, p in enumerate(r.parts)])
         if isinstance(r, ast.Parallel):
-            return self.compose("par", r.bodies)
+            return self.parallel(r, path, part)
+        if isinstance(r, ast.ClassicalAssign):
+            self.found.append((r.target, path, r.pos))
+            for e in (r.value, *r.target_args):
+                self.reads(e, "expression references {!r}, which has no value here",
+                           path, r.pos, part)
+            part.names.add(r.target)
+            self.dynamics = self.dynamics | {r.target}
+        elif isinstance(r, ast.ClassicalCond):
+            self.cond(r, path, part)
+        elif not isinstance(r, ast.Skip):
+            self.report(f"rule is not ground: {type(r).__name__}", None, path,
+                        getattr(r, "pos", None))
         return None  # classical rules and skip hold no gate
 
-    def compose(self, kind: str, parts) -> DecompTree | None:
-        children = [t for t in (self.rule(p) for p in parts) if t is not None]
-        if not children:
-            return None
-        if len(children) == 1:
-            return children[0]
-        return DecompNode(kind, tuple(children))
+    def reads(self, e: ast.Expr, message: str, path, pos, part: _Component) -> None:
+        """Report each name that ``e`` reads and nothing assigned before."""
+        names = ast.expr_names(e)
+        part.names |= names
+        for n in sorted(names):
+            if n not in self.channels and n not in self.dynamics:
+                self.report(message.format(n), ast.CLAUSE_UNBOUND_CHANNEL_VARIABLE, path, pos)
 
-    def gate(self, r: ast.GateRule) -> Gid:
-        wires = tuple(r.wires)
+    def gate(self, r: ast.GateRule, path, part: _Component) -> Gid:
+        wires, out = tuple(r.wires), r.out
+        if len(wires) > 1 and len(set(wires)) != len(wires):
+            self.report(f"gate wires must be pairwise distinct, got {wires}",
+                        ast.CLAUSE_GATE_WIRES_DISTINCT, path, r.pos)
+        reads: set[str] = set()
+        for g in r.guards:
+            names = ast.expr_names(g)
+            reads |= names
+            for n in sorted(names):
+                if n not in self.channels:
+                    kind = "a non-channel variable" if n in self.dynamics else "an unassigned variable"
+                    self.report(f"guard references {kind} {n!r}; guards may only use channel "
+                                f"variables assigned earlier",
+                                ast.CLAUSE_UNBOUND_CHANNEL_VARIABLE, path, r.pos)
+            for fn in sorted(ast.expr_calls(g)):
+                if fn not in ast.STATIC_FUNCTIONS:
+                    self.report(f"guard applies {fn!r}; guards may only use channel variables",
+                                ast.CLAUSE_UNBOUND_CHANNEL_VARIABLE, path, r.pos)
         anchor = min(wires)
         gid: Gid = (anchor, len(self.wiring[anchor]))
         direct: set[Gid] = set()
@@ -188,29 +280,124 @@ class _Lowerer:
             if chain:
                 direct.add(chain[-1])
             chain.append(gid)
-        gate = Gate(gid, wires, r.out, tuple(r.guards), tuple(r.branches))
-        # Well formedness guarantees an earlier gate outputs each guard variable.
-        for var in sorted(gate.reads()):
-            producer = self.producers[var]
-            direct.add(producer)
-            self.deps.append((producer, gid, var))
-        if r.out is not None:
-            self.producers[r.out] = gid
-        self.gates.append(gate)
+        for var in sorted(reads):
+            producer = self.producers.get(var)  # none for an external or unassigned name
+            if producer is not None:
+                direct.add(producer)
+                self.deps.append((producer, gid, var))
+        part.wires.update(wires)
+        part.names |= reads
+        if out is not None:
+            if out in self.outputs or out in self.external:
+                self.duplicates.append(self.error(
+                    f"output variable {out!r} is " + ("assigned by more than one gate rule"
+                                                      if out in self.outputs else
+                                                      "already assigned outside the rule"),
+                    ast.CLAUSE_DUPLICATE_OUTPUT_VARIABLE, path, r.pos))
+            self.outputs.add(out)
+            self.producers[out] = gid
+            self.channels = self.channels | {out}
+            part.outs.add(out)
+            part.names.add(out)
+        self.gates.append(Gate(gid, wires, out, tuple(r.guards), tuple(r.branches)))
         self.prereq[gid] = direct
         return gid
 
+    def cond(self, r: ast.ClassicalCond, path, part: _Component) -> None:
+        for g in r.guards:
+            self.reads(g, "guard references {!r}, which has no value here", path, r.pos, part)
+        # Each branch starts from the names assigned before the conditional;
+        # after it, the dynamic names of every branch are assigned.  Its
+        # gates, ill formed, count for no wires or channel variables.
+        before = channels, dynamics = self.channels, self.dynamics
+        inner = _Component(names=part.names)
+        for i, b in enumerate(r.branches):
+            self.channels, self.dynamics = before
+            at = (path, "branches", i)
+            mark, gates = len(self.found), len(self.gates)
+            self.rule(b, at, inner)
+            if len(self.gates) > gates:
+                self.found.insert(mark, self.error(
+                    "classical conditional branch contains a measurement or gate rule",
+                    ast.CLAUSE_MEASUREMENT_OUTSIDE_GATE_RULE, at, r.pos))
+            dynamics |= self.dynamics
+        self.channels, self.dynamics = channels, dynamics
+
+    def parallel(self, r: ast.Parallel, path, part: _Component) -> DecompTree | None:
+        # Each component starts from the names assigned before the ``||``;
+        # after it, what any component assigned is assigned.
+        before = after = (self.channels, self.dynamics)
+        components = [_Component() for _ in r.bodies]
+        children = []
+        for i, (b, c) in enumerate(zip(r.bodies, components)):
+            self.channels, self.dynamics = before
+            children.append(self.rule(b, (path, "bodies", i), c))
+            after = (after[0] | self.channels, after[1] | self.dynamics)
+        self.channels, self.dynamics = after
+        acting = [(i, c.wires) for i, c in enumerate(components) if c.wires]
+        for (i, a), (j, b) in itertools.combinations(acting, 2):
+            if a & b:
+                self.report(f"parallel components must have pairwise disjoint wire sets; "
+                            f"wires {sorted(a & b)} are shared between components {i} and {j}",
+                            ast.CLAUSE_PARALLEL_DISJOINT_WIRES, path, r.pos)
+        for i, c in enumerate(components):
+            for j, sibling in enumerate(components):
+                if c.outs and i != j:
+                    for n in sorted(c.outs & sibling.names):
+                        self.report(f"output variable {n!r} of one parallel component occurs "
+                                    f"in a sibling component",
+                                    ast.CLAUSE_PARALLEL_SIBLING_OUTPUT, path, r.pos)
+        for c in components:
+            part.wires |= c.wires
+            part.outs |= c.outs
+            part.names |= c.names
+        return _node("par", children)
+
+
+def _node(kind: str, children: list) -> DecompTree | None:
+    """The tree of the children that hold a gate: None, one child or a node."""
+    children = [t for t in children if t is not None]
+    if not children:
+        return None
+    if len(children) == 1:
+        return children[0]
+    return DecompNode(kind, tuple(children))
+
+
+def well_formed(rule: ast.Rule, external: frozenset[str] = frozenset()) -> list[Diagnostic]:
+    """Check a ground rule against the static rules; [] means well formed.
+    ``external`` holds the channel variables assigned before the rule."""
+    walk = _Lowerer(external)
+    walk.rule(rule, None, _Component())
+    return walk.diagnostics()
+
+
+def check_program(program: ast.Program, bindings: Mapping[str, int] | None = None,
+                  registry: Registry | None = None
+                  ) -> tuple[ast.Program | None, list[Diagnostic]]:
+    """Elaborate and check; returns the ground program (or None) plus diagnostics."""
+    try:
+        ground = ast.elaborate(program, bindings, registry)
+    except (ElaborationError, QmathError) as exc:
+        return None, exc.diagnostics()
+    return ground, well_formed(ground.body)
+
 
 def _lower(program: ast.Program) -> tuple[GeneralizedCircuit, DecompTree | None]:
-    _require_ground(program)
-    width = ast.program_width(program)
-    low = _Lowerer(width)
-    tree = low.rule(program.body)
-    gates = tuple(sorted(low.gates, key=lambda g: g.gid))
+    """The circuit and decomposition tree of a ground program, from one
+    walk; raises IllFormedError with every diagnostic the walk found.
+    The program is trusted to be ground, as ``elaborate`` makes it."""
+    low = _Lowerer()
+    tree = low.rule(program.body, None, _Component())
+    found = low.diagnostics()
+    if found:
+        raise IllFormedError(found)
+    conjuncts = program.input_decl.conjuncts if program.input_decl is not None else ()
+    width = max([1, *low.wiring, *(max(c.wires) for c in conjuncts)])
     circuit = GeneralizedCircuit(
         width=width,
-        gates=gates,
-        wiring={w: tuple(chain) for w, chain in low.wiring.items()},
+        gates=tuple(sorted(low.gates, key=lambda g: g.gid)),
+        wiring={w: tuple(low.wiring.get(w, ())) for w in range(1, width + 1)},
         classical_deps=tuple(sorted(low.deps)),
         prereq={gid: frozenset(s) for gid, s in low.prereq.items()},
     )
@@ -219,12 +406,12 @@ def _lower(program: ast.Program) -> tuple[GeneralizedCircuit, DecompTree | None]
 
 def lower(program: ast.Program) -> GeneralizedCircuit:
     """Lower an elaborated, well formed program to its circuit."""
-    return _lower(program)[0]
+    return _lower(_require_ground(program))[0]
 
 
 def decomposition(program: ast.Program) -> DecompTree | None:
     """The series-parallel tree of gate occurrences (None if gate-free)."""
-    return _lower(program)[1]
+    return _lower(_require_ground(program))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +531,7 @@ def greedy_schedule(program_or_circuit, tree: DecompTree | None = None) -> Sched
     series-parallel order (falling back to the prerequisite relation
     when only a circuit is given)."""
     if isinstance(program_or_circuit, ast.Program):
-        circuit, tree = _lower(program_or_circuit)
+        circuit, tree = _lower(_require_ground(program_or_circuit))
     else:
         circuit = program_or_circuit
     if tree is not None:

@@ -5,12 +5,16 @@ from dataclasses import dataclass
 
 
 class QcasmError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; ``line`` and
+    ``column`` are the source position of the failure where it is known."""
+
+    line: int | None = None
+    column: int | None = None
 
     def diagnostics(self) -> list[Diagnostic]:
-        """The lines that report this error: here one ``error: message``;
-        subclasses that know a position, a clause or a list report those."""
-        return [Diagnostic("error", str(self))]
+        """The lines that report this error: here one ``error: message``,
+        with the position if known; subclasses add a clause or a list."""
+        return [Diagnostic("error", str(self), line=self.line, column=self.column)]
 
 
 class QmathError(QcasmError):
@@ -62,7 +66,8 @@ class ElaborationError(QcasmError):
         self.clause = clause
 
     def diagnostics(self) -> list[Diagnostic]:
-        return [Diagnostic("error", str(self), clause=self.clause)]
+        return [Diagnostic("error", str(self), line=self.line, column=self.column,
+                           clause=self.clause)]
 
 
 class LoweringError(QcasmError):

@@ -185,10 +185,11 @@ class PreparedProgram:
 def initial_state(program: ast.Program, registry: Registry | None = None,
                   width: int | None = None) -> QuantumState:
     """Tensor the declared conjunct states together (undeclared wires
-    start in |0>) and permute to wire order."""
+    start in |0>) and permute to wire order.  The width defaults to that
+    of the program's circuit."""
     registry = registry if registry is not None else Registry()
     if width is None:
-        width = ast.program_width(program)
+        width = circuit_mod.lower(program).width
     if width > MAX_WIDTH:
         raise SimulationError(f"width {width} exceeds the {MAX_WIDTH}-wire limit")
     seq: list[int] = []
@@ -234,7 +235,8 @@ def prepare(program: ast.Program, bindings: dict | None = None,
             schedule: Schedule | None = None) -> PreparedProgram:
     """Elaborate, lower and schedule (greedily by default): the one path
     from a program to the circuit that the simulator fires, and the one
-    that every subcommand of the CLI takes."""
+    that every subcommand of the CLI takes.  Elaboration's output is
+    ground, so the lowering walk takes it with no groundness check."""
     registry = registry if registry is not None else Registry()
     program = ast.elaborate(program, bindings, registry)
     circ, tree = circuit_mod._lower(program)

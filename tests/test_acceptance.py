@@ -285,7 +285,7 @@ EXPECTED_CLAUSE = {
 def test_corpus_accepted_and_mutants_rejected(tele_registry, pe_registry):
     registries = {"teleport": tele_registry, "phase_est": pe_registry}
     for name in CORPUS:
-        prog, diags = A.check_program(corpus_program(name), None,
+        prog, diags = C.check_program(corpus_program(name), None,
                                       registries.get(name))
         assert prog is not None and diags == [], (name, diags)
 
@@ -293,7 +293,7 @@ def test_corpus_accepted_and_mutants_rejected(tele_registry, pe_registry):
     assert len(fixtures) == 12
     for path in fixtures:
         expected = EXPECTED_CLAUSE[path.stem.split("_")[0]]
-        prog, diags = A.check_program(parse(path.read_text()))
+        prog, diags = C.check_program(parse(path.read_text()))
         messages = [d.render() for d in diags]
         assert any(expected in m for m in messages), (path.name, messages)
     print(f"PASS well-formedness: {len(CORPUS)} programs accepted, "

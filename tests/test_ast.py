@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from qcasm import ast as A
+from qcasm import circuit as C
 from qcasm import qmath as Q
-from qcasm.errors import ElaborationError, SimulationError
+from qcasm.errors import ElaborationError, SimulationError, UnknownNameError
 from qcasm.parser import parse
 
 from conftest import corpus_program, corpus_text, CORPUS
@@ -349,12 +350,13 @@ def test_elaboration_compiles_each_expression_node_once(monkeypatch, text, bindi
 
 
 def test_gates_share_one_family_per_name_and_params():
-    r = ground_body("p := SM(1); q := SM(2);\n"
-                    "for i = 1 to 3: { (-1)^p X(3); if q = 1 then Z(3); "
-                    "X_pow(i - i + 1)(3); R_(i - i + 2)(3); H(i) }")
+    circ = C.lower(A.elaborate(parse(
+        "p := SM(1); q := SM(2);\n"
+        "for i = 1 to 3: { (-1)^p X(3); if q = 1 then Z(3); "
+        "X_pow(i - i + 1)(3); R_(i - i + 2)(3); H(i) }")))
     seen: dict = {}
-    for _, gate in A._gate_rules(r, "body"):
-        for fam in gate.branches:
+    for gate in circ.gates:
+        for fam in gate.families:
             assert seen.setdefault(fam.name, fam) is fam, fam.name
     assert sorted(seen) == ["-X", "H", "I", "R_2", "SM", "X", "X^2", "Z"]
 
@@ -435,6 +437,19 @@ def test_unknown_gate_name():
         ground_body("ZOG(1)")
 
 
+def test_elaboration_errors_keep_their_type_and_gain_a_position():
+    with pytest.raises(UnknownNameError) as exc:
+        A.elaborate(parse("H(1);\n  ZOG(1)"))
+    assert (exc.value.line, exc.value.column) == (2, 3)
+    with pytest.raises(ElaborationError) as exc:
+        A.elaborate(parse("ket 00 on 1;\nH(1)"))
+    assert (exc.value.line, exc.value.column) == (1, 1)
+    # A rule built by hand has no position to give.
+    with pytest.raises(ElaborationError) as exc:
+        A.elaborate(A.Program((), None, A.GateRule((), (A.MeasurementExpr("H"),), (1, 2), None)))
+    assert exc.value.line is None and exc.value.diagnostics()[0].render().startswith("error: ")
+
+
 def test_elaboration_idempotent_on_corpus(pe_registry):
     bindings = {"qft": {"n": 3}, "grover": {"n": 2, "N": 4, "m": 3}}
     for name in CORPUS:
@@ -494,51 +509,23 @@ def test_measurement_in_loop_bound_rejected():
 
 
 # ---------------------------------------------------------------------------
-# ground-rule attributes
+# ground rules
 # ---------------------------------------------------------------------------
-
-def test_ground_attributes_on_teleport():
-    prog = A.elaborate(corpus_program("teleport"))
-    assert A.wire_set(prog.body) == frozenset({1, 2, 3})
-    assert A.output_vars(prog.body) == frozenset({"p", "q"})
-    assert A.program_width(prog) == 3
-    assert not A.is_classical(prog.body)
-    assert A.is_classical(A.Skip())
-    kinds = [type(s).__name__ for s in A.subrules(prog.body)]
-    assert kinds.count("GateRule") == 6  # CNOT, H, 2x SM, 2x guarded correction
-
 
 def test_program_width_counts_input_wires():
     prog = A.elaborate(parse("ket 0 on 5;\nH(1)"))
-    assert A.program_width(prog) == 5
+    assert C.lower(prog).width == 5
 
 
 def test_attributes_reject_surface_rules():
     loop = parse("for i = 1 to 2: H(i)").body
     gate = ground_body("p := SM(1)")
-    for r in (loop, A.Sequential((gate, loop)), A.Parallel((gate, loop))):
-        for walker in (A.wire_set, A.output_vars, A.subrules):
-            with pytest.raises(ElaborationError, match="needs a ground rule, got ForLoop"):
-                walker(r)
+    assert A.is_ground(gate)
+    for r in (loop, A.Sequential((gate, loop)), A.Parallel((gate, loop)),
+              A.ClassicalCond((expr("p = 1"),), (loop, A.Skip())),
+              A.ClassicalCond((expr("p = 1"),), (A.Skip(),)),
+              parse("forall i in [1, 2]: H(i)").body):
         assert not A.is_ground(r)
-        assert not A.is_classical(r)
-    assert A._occurring_names(loop) == frozenset()
-    assert list(A._gate_rules(loop, "body")) == []
-    # A composition keeps what its ground components contribute.
-    for r, path in ((A.Sequential((gate, loop)), "body.parts[0]"),
-                    (A.Parallel((gate, loop)), "body.bodies[0]")):
-        assert A._occurring_names(r) == frozenset({"p"})
-        assert list(A._gate_rules(r, "body")) == [(path, gate)]
-    # wire_set and output_vars do not descend into classical conditionals.
-    cond = A.ClassicalCond((expr("p = 1"),), (loop, A.Skip()))
-    assert A.wire_set(cond) == frozenset()
-    assert A.output_vars(cond) == frozenset()
-    with pytest.raises(ElaborationError, match="needs a ground rule, got ForLoop"):
-        A.subrules(cond)
-    assert not A.is_ground(cond)
-    assert not A.is_classical(cond)
-    assert A._occurring_names(cond) == frozenset({"p"})
-    assert list(A._gate_rules(cond, "body")) == []
 
 
 # ---------------------------------------------------------------------------
@@ -546,14 +533,14 @@ def test_attributes_reject_surface_rules():
 # ---------------------------------------------------------------------------
 
 def clauses(text: str, external=frozenset()) -> list[str]:
-    return [d.clause for d in A.well_formed(ground_body(text), external)]
+    return [d.clause for d in C.well_formed(ground_body(text), external)]
 
 
 def test_corpus_is_well_formed(pe_registry):
     bindings = {"qft": {"n": 3}, "grover": {"n": 2, "N": 4, "m": 3}}
     for name in CORPUS:
         reg = pe_registry if name == "phase_est" else None
-        ground, diags = A.check_program(corpus_program(name), bindings.get(name), reg)
+        ground, diags = C.check_program(corpus_program(name), bindings.get(name), reg)
         assert ground is not None and diags == [], name
 
 
@@ -579,7 +566,7 @@ def test_guard_variable_must_be_assigned_earlier():
 
 
 def test_guard_variable_must_be_a_channel():
-    got = A.well_formed(ground_body("zzz := 1; if zzz = 1 then Z(1)"))
+    got = C.well_formed(ground_body("zzz := 1; if zzz = 1 then Z(1)"))
     assert [d.clause for d in got] == [A.CLAUSE_UNBOUND_CHANNEL_VARIABLE]
     assert "non-channel" in got[0].message
 
@@ -632,19 +619,19 @@ def test_anonymous_gates_never_collide():
 
 
 def test_diagnostic_carries_location():
-    diags = A.well_formed(ground_body("H(1) || X(1)"))
+    diags = C.well_formed(ground_body("H(1) || X(1)"))
     assert diags[0].severity == "error"
     assert diags[0].path.startswith("body")
     assert diags[0].clause == A.CLAUSE_PARALLEL_DISJOINT_WIRES
 
 
 def test_check_program_reports_elaboration_failures():
-    ground, diags = A.check_program(parse("H(1, 2)"))
+    ground, diags = C.check_program(parse("H(1, 2)"))
     assert ground is None and len(diags) == 1
     assert diags[0].severity == "error"
 
 
 def test_check_program_reports_wf_failures():
-    ground, diags = A.check_program(parse("H(1) || X(1)"))
+    ground, diags = C.check_program(parse("H(1) || X(1)"))
     assert ground is not None
     assert [d.clause for d in diags] == [A.CLAUSE_PARALLEL_DISJOINT_WIRES]

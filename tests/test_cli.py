@@ -106,6 +106,28 @@ def test_huge_integer_is_an_error_not_a_traceback(tmp_path, capsys, argv):
     assert err == f"error: operator '^': result exceeds {ast.MAX_INT_BITS} bits\n"
 
 
+# Elaboration failures carry the line:col of the innermost rule or input
+# conjunct being elaborated, whichever error type raised them.
+@pytest.mark.parametrize("text, line", [
+    ("H(1, 1)", "1:1: error: H acts on 1 wire(s) but is applied to 2"),
+    ("H(1);\nfor i = 1 to 2: { X(i); CNOT(i) }",
+     "2:25: error: CNOT acts on 2 wire(s) but is applied to 1"),
+    ("H(1);\n  ZOG(2)", "2:3: error: unknown gate or measurement 'ZOG'"),
+    ("p := SM(3); if p = 1 then mark_(2, 9)(1, 2, 4)",
+     "1:13: error: mark: marked index 9 out of range for 2 wires"),
+    ("forall i in [1, 0 div 0]: H(i)", "1:1: error: div by zero"),
+    ("param p = 0\nH(1);\np := SM(1)",
+     "3:1: error: output variable 'p' collides with a parameter name"),
+    ("ket 0 on 2 and\n  {forall i in [1, 2]: ket 0 on i};\nH(1)",
+     "2:4: error: input declaration wires overlap at [2]"),
+    ("param n\nH(n)", "error: parameter 'n' is not bound and has no default"),
+])
+def test_elaboration_errors_carry_their_position(tmp_path, capsys, text, line):
+    prog = tmp_path / "bad.qcasm"
+    prog.write_text(text + "\n")
+    assert run_cli("check", str(prog), capsys=capsys) == (1, "", line + "\n")
+
+
 def test_huge_literal_is_an_error_not_a_traceback(tmp_path, capsys):
     prog = tmp_path / "literal.qcasm"
     prog.write_text(f"x := {'9' * 5000}; H(1)\n")
@@ -457,12 +479,18 @@ def test_every_subcommand_prepares_once(monkeypatch, capsys, pe_registry):
             return real(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
 
-    for module, name in ((ast, "elaborate"), (ast, "well_formed"), (circuit, "_lower")):
+    # One elaboration and one walk, which checks the ground program as it
+    # lowers it: no separate groundness or well-formedness pass.
+    for module, name in ((ast, "elaborate"), (circuit, "_lower"), (ast, "is_ground"),
+                         (circuit, "well_formed")):
         spy(module, name)
     for command in ("check", "run", "enumerate", "lower", "schedules", "canon"):
         calls.clear()
         assert run_cli(command, TELEPORT, "--registry", TELE_REG, capsys=capsys)[0] == 0
-        assert calls == {"elaborate": 1, "well_formed": 1, "_lower": 1}, command
+        assert calls == {"elaborate": 1, "_lower": 1}, command
+    for walker in ("well_formed", "check_program", "program_width", "wire_set", "output_vars",
+                   "subrules", "is_classical", "_gate_rules", "_occurring_names"):
+        assert not hasattr(ast, walker), walker
     monkeypatch.undo()
     bindings = {"qft": {"n": 3}, "grover": {"n": 2, "N": 4, "m": 3}}
     for name in CORPUS:
