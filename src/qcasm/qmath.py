@@ -37,13 +37,32 @@ Conventions used throughout the package:
   complete by construction (a ``c`` form exactly as complete as the
   family it controls) and are built without the completeness check;
   ``make_family``, ``unitary_family``, ``family_power`` and
-  ``register_family`` keep it.
-* A taken outcome A_i |s> is divided by its norm (``post_vector``),
-  except for a single-outcome family whose squared norm is already
-  within ``UNIT_NORM_SLACK`` of 1: a unitary leaves the state
-  normalized to rounding, and an operator that is unitary only within
-  ``ATOL`` still has its outcome divided, so the norm cannot drift over
-  many gates.
+  ``register_family`` keep it.  A single-outcome family whose operator
+  is unitary by construction (a library gate, the ``c`` form of one, or
+  either negated) is marked ``exact``.
+* Firing a family (``bind_outcomes``) takes two steps, the measurement
+  postulate read from the marginal of |s|**2 on the gate's wires:
+  first every outcome's probability, then the post-measurement vector
+  of each outcome the caller follows, and of no other.
+  - An ``exact`` family has probability 1 exactly, with no pass over
+    the state.  Its vector is not divided, but each path keeps a bound
+    on the drift of its norm (2**k units of roundoff per k-wire gate),
+    and once that bound passes ``UNIT_NORM_SLACK`` one norm pass reads
+    the drift itself, so every state stays within ``UNIT_NORM_SLACK``
+    of norm 1.
+  - Any other single-outcome family (a registered one, ``unitary_family``,
+    ``family_power``) is unitary only within ``ATOL``: its vector is
+    made first, and its probability is its squared norm (a norm pass).
+  - A measuring family takes every probability from one read pass:
+    p_i = sum_c E_i[c] m_c, with m the marginal of |s|**2 on the gate's
+    wires, when every effect E_i = A_i^+ A_i is diagonal (every outcome
+    a gather: SM, PM), and otherwise p_i = Tr(E_i rho) with rho the
+    reduced density matrix on those wires.  A followed outcome's vector
+    is A_i |s> / sqrt(p_i), and the last one made from a state that the
+    caller hands over scales it in place when A_i is a diagonal.
+  A norm pass divides its vector when the squared norm is off 1 by more
+  than half of ``UNIT_NORM_SLACK``, so an operator that is unitary only
+  within ``ATOL`` cannot let the norm drift over many gates.
 """
 from __future__ import annotations
 
@@ -51,8 +70,9 @@ import functools
 import json
 import math
 import os
+import string
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -70,7 +90,8 @@ from .errors import (
 ATOL = 1e-9              # completeness / unitarity / normalization tolerance
 PRUNE_EPS = 1e-12        # below this, an outcome is an impossible branch
 INPUT_STATE_ATOL = 1e-6  # accepted norm slack for user amplitude lists
-UNIT_NORM_SLACK = 1e-13  # a unitary outcome this close to norm 1 is not divided
+UNIT_NORM_SLACK = 1e-13  # every state a walk holds is this close to norm 1
+ROUNDOFF = 2.0**-52      # the norm drift charged per dimension of an exact gate
 MAX_WIDTH = 24           # hard cap on circuit width (2**24 amplitudes)
 
 _COMPLEX = np.complex128
@@ -146,10 +167,10 @@ class Structure(NamedTuple):
     0.  ``data`` is (base, moves): a move (bits of r, bits of c, factor
     or None for 1) for each row r except those with c = r and factor
     ``base``.  ``base`` is the most common factor among the rows with
-    c = r, or None when there are none.  Bits are in the order of the
-    gate's wire arguments.  For "dense", ``data`` is None.  ``diagonal``
-    is true for a gather whose every row reads itself: it only scales
-    rows, so it can be applied in place."""
+    c = r (1 among equally common ones), or None when there are none.
+    Bits are in the order of the gate's wire arguments.  For "dense",
+    ``data`` is None.  ``diagonal`` is true for a gather whose every row
+    reads itself: it only scales rows, so it can be applied in place."""
 
     kind: str
     matrix: np.ndarray
@@ -167,8 +188,9 @@ def structure(op: np.ndarray) -> Structure:
     rows = np.arange(len(op))
     cols = np.where(nz.any(axis=1), nz.argmax(axis=1), rows)
     gathered = list(zip(rows.tolist(), cols.tolist(), op[rows, cols].tolist()))
-    kept = Counter(f for row, col, f in gathered if col == row).most_common(1)
-    base = kept[0][0] if kept else None
+    kept = Counter(f for row, col, f in gathered if col == row)
+    # on a tie, 1: its rows are then not touched in place
+    base = max(kept, key=lambda f: (kept[f], f == 1)) if kept else None
     k = len(op).bit_length() - 1
     moves = tuple((index_bits(row, k), index_bits(col, k), None if f == 1 else f)
                   for row, col, f in gathered if col != row or f != base)
@@ -213,12 +235,15 @@ class MeasurementFamily:
     Structural invariants (square operators of one dimension, distinct
     integer labels, finite entries) are enforced here; completeness is the
     job of validate_family / make_family so that defective candidates can
-    still be inspected.
+    still be inspected.  ``exact`` marks a single-outcome family whose
+    operator is unitary by construction (see the module docstring): it
+    fires with probability 1 and no norm pass.
     """
 
     name: str
     arity: int
     outcomes: tuple[Outcome, ...]
+    exact: bool = field(default=False, repr=False)
 
     def __post_init__(self):
         if self.arity < 1:
@@ -227,6 +252,8 @@ class MeasurementFamily:
             raise InvalidFamilyError(f"{self.name}: arity {self.arity} exceeds the maximum width {MAX_WIDTH}")
         if not self.outcomes:
             raise InvalidFamilyError("family needs at least one outcome")
+        if self.exact and len(self.outcomes) != 1:
+            raise InvalidFamilyError(f"{self.name}: only a single-outcome family is exact")
         dim = 2**self.arity
         fixed = []
         for oc in self.outcomes:
@@ -252,6 +279,13 @@ class MeasurementFamily:
     def is_unitary(self) -> bool:
         """True for the degenerate single-outcome (plain gate) case."""
         return len(self.outcomes) == 1
+
+    @functools.cached_property
+    def effects(self) -> np.ndarray:
+        """The effects E_i = A_i^+ A_i of the outcomes, stacked in family
+        order, computed on first use."""
+        ops = np.array([oc.operator for oc in self.outcomes])
+        return np.conj(ops.transpose(0, 2, 1)) @ ops
 
     def outcome(self, label: int) -> Outcome:
         for oc in self.outcomes:
@@ -314,24 +348,29 @@ def unitary_family(name: str, matrix) -> MeasurementFamily:
     return make_family(name, k, [(0, op)])
 
 
-def _unchecked_unitary(name: str, matrix: np.ndarray) -> MeasurementFamily:
+def _unchecked_unitary(name: str, matrix: np.ndarray, exact: bool = True) -> MeasurementFamily:
     """A one-outcome family whose matrix is unitary by construction (up
     to rounding far below ATOL), built without make_family's O(d**3)
     completeness check: a library gate, whose builders the tests check
     on a grid of parameters, or the controlled form of a family that
     is already checked, since controlled(U)^+ controlled(U) - I is
-    diag(0, U^+ U - I) and so deviates exactly as much as U."""
-    return MeasurementFamily(name, len(matrix).bit_length() - 1, (Outcome(0, matrix),))
+    diag(0, U^+ U - I) and so deviates exactly as much as U.  The
+    controlled form of a checked family that is not ``exact`` passes
+    ``exact=False``."""
+    return MeasurementFamily(name, len(matrix).bit_length() - 1, (Outcome(0, matrix),), exact)
 
 
 def scaled_family(f: MeasurementFamily, scalar: complex, name: str | None = None) -> MeasurementFamily:
-    """Multiply every operator by a unit-modulus scalar (completeness is kept)."""
+    """Multiply every operator by a unit-modulus scalar (completeness is
+    kept).  An ``exact`` family stays exact when negated (or scaled by
+    1), since those products are exact."""
     if abs(abs(scalar) - 1.0) > ATOL:
         raise InvalidFamilyError(f"family scalars must have modulus 1, got |{scalar}| = {abs(scalar)}")
     return MeasurementFamily(
         name if name is not None else f"({scalar})*{f.name}",
         f.arity,
         tuple(Outcome(oc.label, scalar * oc.operator) for oc in f.outcomes),
+        f.exact and scalar in (1, -1),
     )
 
 
@@ -522,67 +561,171 @@ def is_unitary_matrix(op: np.ndarray, atol: float = ATOL) -> bool:
     return bool(np.max(np.abs(op.conj().T @ op - np.eye(op.shape[0]))) <= atol)
 
 
-class OutcomeVector(NamedTuple):
-    """An outcome applied to a state: label, probability (clamped to
-    [0, 1]), the unnormalized A_label |s> and its squared norm."""
+def _probabilities(f: MeasurementFamily, ws: tuple[int, ...], width: int
+                   ) -> Callable[[np.ndarray], np.ndarray]:
+    """The probabilities of a measuring family's outcomes on ``ws``, as
+    ``probabilities(amps)``: one read pass over the state, whatever the
+    number of outcomes.
 
-    label: int
-    probability: float
-    vector: np.ndarray
-    norm2: float
+    When every outcome is a gather, every effect E_i = A_i^+ A_i is
+    diagonal, and p_i = sum_c E_i[c] m_c, where m_c sums |amps|**2 over
+    the slice in which the gate's wires read c.  m comes from one
+    ``einsum`` over the float view of the state; in a state of more than
+    2048 amplitudes, a trailing run of at most 2048 floats is kept as an
+    output axis and summed after, so that einsum's inner loop stays
+    long.  Otherwise p_i = Tr(E_i rho) for the reduced density matrix
+    rho on the gate's wires, which the dot products of the 2**k slices
+    give, in the transposed copy that a dense operator makes too.  c and
+    the rows of rho count in the order of the gate's wire arguments, as
+    operators do."""
+    k = len(ws)
+    view, order = _layout(ws, width)
+    gate_axes = [2 * order.index(j) + 1 for j in range(k)]
+    effects = f.effects
+    if all(oc.structure.kind == "gather" for oc in f.outcomes):
+        weights = effects.diagonal(0, 1, 2).real
+        shape = (*view[:-1], 2 * view[-1])
+        tail = shape[-1] <= 2048 < 2**width
+        axes = string.ascii_letters[:len(shape)]
+        kept = "".join(axes[a] for a in gate_axes) + (axes[-1] if tail else "")
+        subscripts = f"{axes},{axes}->{kept}"
+
+        def diagonal(amps: np.ndarray) -> np.ndarray:
+            floats = amps.view(np.float64).reshape(shape)
+            m = np.einsum(subscripts, floats, floats)
+            return weights @ (m.sum(axis=-1) if tail else m).reshape(-1)
+        return diagonal
+    weights = effects.conj().reshape(len(effects), -1)
+    to_rows = gate_axes + list(range(0, 2 * k + 1, 2))
+    dim = 2**k
+
+    def reduced(amps: np.ndarray) -> np.ndarray:
+        rows = amps.reshape(view).transpose(to_rows).reshape(dim, -1)
+        rho = np.empty((dim, dim), _COMPLEX)
+        for c in range(dim):
+            for d in range(c, dim):
+                rho[c, d] = np.vdot(rows[d], rows[c])
+                rho[d, c] = rho[c, d].conjugate()
+        return (weights @ rho.reshape(-1)).real
+    return reduced
+
+
+class _Bound(NamedTuple):
+    """A family's outcomes bound to wires of a state width."""
+    family: MeasurementFamily
+    kernels: tuple[Callable, ...]
+    diagonal: tuple[bool, ...]
+    measure: Callable[[np.ndarray], np.ndarray] | None  # a measuring family's probabilities
+    charge: float  # the drift bound an exact family's outcome adds
+
+
+class Fired:
+    """A family fired on one state by ``bind_outcomes``' ``fire``.
+    ``probabilities`` holds each outcome's probability in family order,
+    clamped to [0, 1]; ``post`` makes the post-measurement vector of an
+    outcome that the caller follows.  ``fire`` has rejected a
+    probability above 1 + ATOL and a non-finite one, so every vector
+    made is finite."""
+
+    __slots__ = ("probabilities", "_bound", "_amps", "_scratch", "_raw", "_vector")
+
+    def __init__(self, bound: _Bound, amps: np.ndarray,
+                 scratch: Callable[[], np.ndarray] | None):
+        self._bound, self._amps, self._scratch = bound, amps, scratch
+        f = bound.family
+        if bound.measure is not None:
+            raw = bound.measure(amps).tolist()
+        elif f.exact:
+            self.probabilities = (1.0,)
+            return
+        else:
+            # unitary only within ATOL: the vector first, then its norm
+            self._vector = vec = self._apply(0, True)
+            raw = [float(np.vdot(vec, vec).real)]
+        for p in raw:
+            if not p <= 1.0 + ATOL:  # also true for nan
+                raise InvalidFamilyError(f"{f.name}: outcome probability {p} is not at most 1")
+        self._raw = raw
+        self.probabilities = tuple(min(max(p, 0.0), 1.0) for p in raw)
+
+    def _apply(self, i: int, last: bool) -> np.ndarray:
+        """A_i |amps>: a new vector without scratch; with it, ``amps``
+        itself scaled in place for the ``last`` outcome when that is a
+        diagonal, else the buffer that ``scratch()`` returns."""
+        kernel, scratch = self._bound.kernels[i], self._scratch
+        if scratch is None:
+            return kernel(self._amps, None)
+        return kernel(self._amps, self._amps if last and self._bound.diagonal[i] else scratch())
+
+    def post(self, i: int, drift: float = 0.0, last: bool = False) -> tuple[np.ndarray, float]:
+        """Outcome i's post-measurement amplitudes and the drift bound of
+        their norm, given ``drift``, that of the state fired on.  With
+        the ``scratch`` that ``fire`` was given, the caller hands the
+        state over and ``last`` says that no other outcome is made from
+        it after this one.  An outcome of probability below PRUNE_EPS is
+        an ``ImpossibleBranchError``.
+
+        A measuring outcome is A_i |s> / sqrt(p_i), divided in place, with
+        p_i the unclamped probability.  An exact outcome is not divided:
+        it adds ``charge`` to the drift bound, and once the bound passes
+        UNIT_NORM_SLACK a norm pass reads the drift itself.  A norm pass
+        divides its vector only when the squared norm is off 1 by more
+        than UNIT_NORM_SLACK / 2, and its drift bound is then that
+        deviation (0 after a division)."""
+        bound = self._bound
+        if self.probabilities[i] < PRUNE_EPS:
+            raise ImpossibleBranchError(
+                f"{bound.family.name}: outcome {bound.family.outcomes[i].label} has "
+                f"probability {self.probabilities[i]:.3e} below {PRUNE_EPS}")
+        if bound.measure is not None:
+            return _scaled(self._apply(i, last), self._raw[i]), 0.0
+        if bound.family.exact:
+            vec = self._apply(0, last)
+            drift += bound.charge
+            if drift <= UNIT_NORM_SLACK:
+                return vec, drift
+            norm2 = float(np.vdot(vec, vec).real)
+        else:
+            vec, norm2 = self._vector, self._raw[0]
+        deviation = abs(norm2 - 1.0)
+        if deviation <= UNIT_NORM_SLACK / 2:
+            return vec, deviation
+        return _scaled(vec, norm2), 0.0
+
+
+def _scaled(vec: np.ndarray, norm2: float) -> np.ndarray:
+    """``vec`` divided in place by the square root of ``norm2``: each
+    float is multiplied by the reciprocal, which is faster than a
+    complex division and within an ulp of it."""
+    floats = vec.view(np.float64)
+    np.multiply(floats, 1.0 / math.sqrt(norm2), out=floats)
+    return vec
 
 
 def bind_outcomes(f: MeasurementFamily, wires: Sequence[int], width: int
-                  ) -> Callable[..., tuple[OutcomeVector, ...]]:
+                  ) -> Callable[..., Fired]:
     """The outcomes of ``f`` on ``wires`` of a ``width``-wire state, each
-    outcome's kernel bound once (``bind_operator``): ``fire(amps,
-    scratch=None)`` returns A_i |amps> for every outcome, in family
-    order, of the raw amplitude array ``amps``.  A squared norm above
-    1 + ATOL means the family is not complete and is rejected; so is a
-    non-finite one, so every vector returned is finite.  Without
-    ``scratch`` each vector is new.
-    With it, the caller owns ``amps`` and hands it over: the one operator
-    of a single-outcome family that is a diagonal scales ``amps`` in
-    place, and any other outcome is written into the buffer that
-    ``scratch()`` returns, leaving ``amps`` unchanged."""
+    outcome's kernel bound once (``bind_operator``), and for a measuring
+    family the read pass of its probabilities (``_probabilities``):
+    ``fire(amps, scratch=None)`` returns the ``Fired`` family on the raw
+    amplitude array ``amps``, whose ``post`` makes the vectors.
+    Without ``scratch`` each vector is new and ``amps`` is never
+    written.  With it, the caller owns ``amps`` and hands it over: the
+    last outcome made from it scales it in place when its operator is a
+    diagonal, and every other outcome is written into the buffer that
+    ``scratch()`` returns."""
     ws = check_wires(wires, width)
     if len(ws) != f.arity:
         raise InvalidFamilyError(f"{f.name}: family of arity {f.arity} applied to {len(ws)} wires")
-    kernels = []
-    for oc in f.outcomes:
-        st = oc.structure
-        kernels.append((oc.label, bind_operator(st, ws, width), f.is_unitary and st.diagonal))
+    structures = [oc.structure for oc in f.outcomes]
+    bound = _Bound(f, tuple(bind_operator(st, ws, width) for st in structures),
+                   tuple(st.diagonal for st in structures),
+                   None if f.is_unitary else _probabilities(f, ws, width),
+                   2**len(ws) * ROUNDOFF)
 
-    def fire(amps: np.ndarray, scratch: Callable[[], np.ndarray] | None = None
-             ) -> tuple[OutcomeVector, ...]:
-        out = []
-        for label, kernel, in_place in kernels:
-            vec = kernel(amps, None if scratch is None else amps if in_place else scratch())
-            norm2 = float(np.vdot(vec, vec).real)
-            if not norm2 <= 1.0 + ATOL:  # also true for nan
-                raise InvalidFamilyError(f"{f.name}: outcome probability {norm2} is not at most 1")
-            out.append(OutcomeVector(label, min(max(norm2, 0.0), 1.0), vec, norm2))
-        return tuple(out)
+    def fire(amps: np.ndarray, scratch: Callable[[], np.ndarray] | None = None) -> Fired:
+        return Fired(bound, amps, scratch)
     return fire
-
-
-def post_vector(f: MeasurementFamily, o: OutcomeVector) -> np.ndarray:
-    """The amplitudes A_i |s> / ||A_i |s>|| of a taken outcome, divided
-    in place: ``o.vector`` becomes the post-measurement amplitudes.
-
-    ``bind_outcomes`` has already bounded the squared norm (finite, at
-    most 1 + ATOL) and this rejects it below PRUNE_EPS, so the quotient
-    is finite and normalized by construction and is not validated again.
-    The one outcome of a single-outcome family is not divided when its
-    squared norm is within UNIT_NORM_SLACK of 1.
-    """
-    if o.norm2 < PRUNE_EPS:
-        raise ImpossibleBranchError(
-            f"{f.name}: outcome {o.label} has probability {o.norm2:.3e} below {PRUNE_EPS}"
-        )
-    if f.is_unitary and abs(o.norm2 - 1.0) <= UNIT_NORM_SLACK:
-        return o.vector
-    return np.divide(o.vector, math.sqrt(o.norm2), out=o.vector)
 
 
 def fidelity_up_to_phase(a: QuantumState, b: QuantumState) -> float:
@@ -724,12 +867,15 @@ class Registry:
     states: dict[str, np.ndarray] = field(default_factory=dict)
 
     def register_family(self, fam: MeasurementFamily) -> None:
+        """Add ``fam`` once it passes the completeness check; a registered
+        family is trusted to be complete only within ATOL, so it is
+        never ``exact``."""
         defect = validate_family(fam)
         if defect is not None:
             raise InvalidFamilyError(defect.message)
         if "_" in fam.name:
             raise RegistryError(f"family name {fam.name!r} must not contain underscores")
-        self.families[fam.name] = fam
+        self.families[fam.name] = replace(fam, exact=False) if fam.exact else fam
 
     def register_state(self, name: str, amplitudes) -> None:
         amps = np.asarray(list(amplitudes), dtype=_COMPLEX)
@@ -751,7 +897,8 @@ class Registry:
             if not base.is_unitary:
                 raise InvalidFamilyError(f"cannot control the multi-outcome family {base.name!r}")
             # complete exactly when base is (see _unchecked_unitary)
-            return _unchecked_unitary("c" + base.name, controlled(base.outcomes[0].operator))
+            return _unchecked_unitary("c" + base.name, controlled(base.outcomes[0].operator),
+                                      base.exact)
         raise UnknownNameError(f"unknown gate or measurement {name!r}")
 
     def knows_gate(self, name: str) -> bool:

@@ -10,10 +10,12 @@ only on the circuit, so the copies that ``with_schedule`` makes share
 it.  Execution walks the schedule bout by bout; inside a bout gates
 fire in ascending id order.
 Firing a gate evaluates its guards against the classical store,
-selects a measurement family and applies each of its outcome operators
-once.  One depth-first walk of the outcome tree (``_walk``) then
-follows one sampled outcome (``run``), the outcomes that a chunk of
-shots draws (``sample_distribution``), every outcome above the floor
+selects a measurement family and reads the probability of each of its
+outcomes (``qmath.Fired``): 1 for a library unitary, one read pass of
+the state for a measurement.  One depth-first walk of the outcome tree
+(``_walk``) then follows, and makes the vector of, one sampled outcome
+(``run``), the outcomes that a chunk of shots draws
+(``sample_distribution``), every outcome above the floor
 (``enumerate_branches``) or the only one (``program_unitary``, which
 walks the basis columns in 4 to 8 blocks, each block's columns indexed
 by extra trailing wires of one state).  ``run``, ``enumerate_branches``
@@ -48,8 +50,8 @@ from . import ast
 from . import circuit as circuit_mod
 from .circuit import Gate, GeneralizedCircuit, Gid, Schedule
 from .errors import ImpossibleBranchError, SimulationError
-from .qmath import (ATOL, PRUNE_EPS, MAX_WIDTH, MeasurementFamily, OutcomeVector, QuantumState,
-                    Registry, bind_outcomes, make_state, post_vector)
+from .qmath import (ATOL, PRUNE_EPS, MAX_WIDTH, Fired, MeasurementFamily, QuantumState,
+                    Registry, bind_outcomes, make_state)
 
 DEFAULT_MAX_BRANCHES = 2**20
 UNITARY_MAX_WIDTH = 12
@@ -118,10 +120,10 @@ class _TapeGate:
         self.bound: dict[tuple[int, int], Callable] = {}
 
     def fire(self, store, amps: np.ndarray, width: int,
-             scratch) -> tuple[MeasurementFamily, tuple[OutcomeVector, ...]]:
+             scratch) -> tuple[MeasurementFamily, Fired]:
         """The family that the first guard to hold selects (else the
-        last) and its outcome vectors on ``amps``, which the caller
-        hands over as to ``bind_outcomes``'s ``fire``."""
+        last) and that family fired on ``amps``, which the caller hands
+        over as to ``bind_outcomes``'s ``fire``."""
         i = 0
         for guard in self.guards:
             if _truth(guard(store)):
@@ -138,9 +140,13 @@ class _TapeGate:
 class PreparedProgram:
     """A ground program, its circuit, the circuit's decomposition tree
     and a checked schedule, in firing order, with the gate tape that the
-    walk fires from.  ``tape`` maps the id of each gate to its compiled
-    gate (``_TapeGate``), made for every gate when the first walk
-    starts; the copies that ``with_schedule`` makes share it.
+    walk fires from.  ``firing`` lists (bout number, gate) in firing
+    order.  Made with no ``firing``, the program checks its schedule
+    and derives it; ``prepare`` passes the firing of the greedy
+    schedule it has just derived, which needs no check.  ``tape`` maps
+    the id of each gate to its compiled gate (``_TapeGate``), made for
+    every gate when the first walk starts; the copies that
+    ``with_schedule`` makes share it.
     ``classical`` is the program's classical pass, compiled the first
     time it runs.  The program holds no state vector, so it is cheap to
     keep and reuse."""
@@ -151,13 +157,12 @@ class PreparedProgram:
     schedule: Schedule
     tape: dict[Gid, _TapeGate] = field(default_factory=dict, repr=False, compare=False)
     classical: Callable[[dict], dict] | None = field(default=None, repr=False, compare=False)
-    firing: tuple[tuple[int, Gate], ...] = field(init=False, repr=False)
+    firing: tuple[tuple[int, Gate], ...] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        circuit_mod.check_schedule(self.circuit, self.schedule)
-        self.firing = tuple((step, self.circuit.gate(gid))
-                            for step, bout in enumerate(self.schedule, start=1)
-                            for gid in bout)
+        if self.firing is None:
+            circuit_mod.check_schedule(self.circuit, self.schedule)
+            self.firing = _firing(self.circuit, self.schedule)
 
     def input_state(self) -> QuantumState:
         """The declared input state, built afresh on each call."""
@@ -179,7 +184,13 @@ class PreparedProgram:
     def with_schedule(self, schedule: Schedule) -> PreparedProgram:
         """The same program fired in another (checked) schedule, from the
         same tape."""
-        return replace(self, schedule=schedule)
+        return replace(self, schedule=schedule, firing=None)
+
+
+def _firing(circuit: GeneralizedCircuit, schedule: Schedule) -> tuple[tuple[int, Gate], ...]:
+    """(bout number, gate) for each gate of ``schedule``, in firing order."""
+    gate = circuit.gate
+    return tuple((step, gate(gid)) for step, bout in enumerate(schedule, start=1) for gid in bout)
 
 
 def initial_state(program: ast.Program, registry: Registry | None = None,
@@ -236,13 +247,16 @@ def prepare(program: ast.Program, bindings: dict | None = None,
     """Elaborate, lower and schedule (greedily by default): the one path
     from a program to the circuit that the simulator fires, and the one
     that every subcommand of the CLI takes.  Elaboration's output is
-    ground, so the lowering walk takes it with no groundness check."""
+    ground, so the lowering walk takes it with no groundness check, and
+    the greedy schedule is derived from the circuit's own tree, so it is
+    not checked again; a given schedule is."""
     registry = registry if registry is not None else Registry()
     program = ast.elaborate(program, bindings, registry)
     circ, tree = circuit_mod._lower(program)
-    if schedule is None:
-        schedule = circuit_mod.greedy_schedule(circ, tree)
-    return PreparedProgram(program, registry, circ, tree, schedule)
+    if schedule is not None:
+        return PreparedProgram(program, registry, circ, tree, schedule)
+    schedule = circuit_mod.greedy_schedule(circ, tree)
+    return PreparedProgram(program, registry, circ, tree, schedule, firing=_firing(circ, schedule))
 
 
 def _prepared(program: ast.Program | PreparedProgram, bindings: dict | None,
@@ -264,32 +278,32 @@ def _truth(v) -> bool:
     return v
 
 
-def _cdf(outcomes) -> tuple[list[float], list[int]]:
-    """The table that inverts the outcome CDF over (label, probability,
-    ...) entries in label order: the cumulative masses, summed left to
-    right, and for each position the last label of probability above
-    PRUNE_EPS at or before it (the first such label where none precedes).
-    So a label of probability <= PRUNE_EPS is never chosen: u in its
-    mass goes to the previous positive label, or the next if none
-    precedes."""
-    chosen = next((i for i, entry in enumerate(outcomes) if entry[1] > PRUNE_EPS), None)
+def _cdf(probabilities) -> tuple[list[float], list[int]]:
+    """The table that inverts the outcome CDF over the probabilities of
+    a family's outcomes in label order: the cumulative masses, summed
+    left to right, and for each position the last position of
+    probability above PRUNE_EPS at or before it (the first such position
+    where none precedes).  So an outcome of probability <= PRUNE_EPS is
+    never chosen: u in its mass goes to the previous positive outcome,
+    or the next if none precedes."""
+    chosen = next((i for i, p in enumerate(probabilities) if p > PRUNE_EPS), None)
     if chosen is None:
         raise ImpossibleBranchError("every outcome of the family has zero probability")
     cum, last = [], []
     total = 0.0
-    for i, entry in enumerate(outcomes):
-        total += entry[1]
-        if entry[1] > PRUNE_EPS:
+    for i, p in enumerate(probabilities):
+        total += p
+        if p > PRUNE_EPS:
             chosen = i
         cum.append(total)
         last.append(chosen)
     return cum, last
 
 
-def _pick(outcomes, u: float):
-    """The entry of ``outcomes`` that u picks, by the ``_cdf`` table."""
-    cum, last = _cdf(outcomes)
-    return outcomes[last[min(bisect.bisect_right(cum, u), len(cum) - 1)]]
+def _pick(probabilities, u: float) -> int:
+    """The position of the outcome that u picks, by the ``_cdf`` table."""
+    cum, last = _cdf(probabilities)
+    return last[min(bisect.bisect_right(cum, u), len(cum) - 1)]
 
 
 def _pick_all(cdf: tuple[list[float], list[int]], us: np.ndarray) -> np.ndarray:
@@ -376,22 +390,25 @@ def _scratch(spare: np.ndarray | None, size: int) -> np.ndarray:
 
 def _walk(prep: PreparedProgram, state: QuantumState, follow, slot=None):
     """Walk the outcome tree from ``state`` depth first on an explicit
-    stack.  At each gate ``follow(gate, family, outcomes, probability,
-    slot)`` returns, in label order, each outcome to follow paired with
-    the slot of its child, or the path mass (a float) of one cut off.  A
-    slot is opaque to the walk: the root has ``slot``, and the sampler
-    keeps a node's shots there.  Yields cut masses and leaves (state,
-    store, probability, path, slot) in visiting order; a path is the
-    linked tuple (path, step, gate, family name, label), ending in None.
+    stack.  At each gate ``follow(gate, family, probabilities,
+    probability, slot)`` gets the probability of each of the family's
+    outcomes, in label order, and the path mass so far, and returns, in
+    label order, the position of each outcome to follow paired with the
+    slot of its child, or the path mass (a float) of one cut off.  A slot
+    is opaque to the walk: the root has ``slot``, and the sampler keeps a
+    node's shots there.  Yields cut masses and leaves (state, store,
+    probability, path, slot) in visiting order; a path is the linked
+    tuple (path, step, gate, family name, label), ending in None.
 
     Each gate fires from the program's tape (``_TapeGate.fire``), with
-    kernels bound to the width of ``state``.  The caller builds
-    ``state`` for the walk and hands it over.  Each stack entry owns its
-    amplitude array: a single-outcome diagonal scales it in place, any
-    other outcome is written into a scratch buffer, and the array that
-    gate read, now dead, is the next scratch (``qmath.bind_outcomes``).
-    A leaf's array is frozen when it is yielded and is never written
-    again."""
+    kernels bound to the width of ``state``, and makes the vectors of
+    the followed outcomes only (``qmath.Fired.post``).  The caller
+    builds ``state`` for the walk and hands it over.  Each stack entry
+    owns its amplitude array and the drift bound of its norm: the last
+    outcome followed, when its operator is a diagonal, scales the array
+    in place, any other is written into a scratch buffer, and the array
+    that gate read, once dead, is the next scratch.  A leaf's array is
+    frozen when it is yielded and is never written again."""
     firing = prep.firing
     tape = [prep.tape_gate(gate) for _step, gate in firing]
     width = state.width
@@ -404,30 +421,36 @@ def _walk(prep: PreparedProgram, state: QuantumState, follow, slot=None):
         buf, spare = _scratch(spare, 2**width), None
         return buf
 
-    stack: list = [(0, amps, {}, 1.0, None, slot)]
+    stack: list = [(0, amps, 0.0, {}, 1.0, None, slot)]
     while stack:
         node = stack.pop()
         if isinstance(node, float):
             yield node
             continue
-        k, amps, store, prob, path, slot = node
+        k, amps, drift, store, prob, path, slot = node
         if k == len(firing):
             yield QuantumState._unchecked(width, amps), store, prob, path, slot
             continue
         step, gate = firing[k]
-        fam, outs = tape[k].fire(store, amps, width, scratch)
-        if outs[0].vector is not amps:
-            spare = amps
-        for out in reversed(follow(gate, fam, outs, prob, slot)):
+        fam, fired = tape[k].fire(store, amps, width, scratch)
+        probabilities = fired.probabilities
+        follows = follow(gate, fam, probabilities, prob, slot)
+        last = max((n for n, out in enumerate(follows) if not isinstance(out, float)), default=-1)
+        children, vec = [], None
+        for n, out in enumerate(follows):
             if isinstance(out, float):
-                stack.append(out)
+                children.append(out)
                 continue
-            out, sub = out
-            stack.append((k + 1, post_vector(fam, out),
-                          store if gate.out is None else {**store, gate.out: out.label},
-                          prob * out.probability, (path, step, gate, fam.name, out.label),
-                          sub))
-        outs = out = None  # drop the outcome vectors before the next gate fires
+            i, sub = out
+            vec, vec_drift = fired.post(i, drift, n == last)
+            label = fam.outcomes[i].label
+            children.append((k + 1, vec, vec_drift,
+                             store if gate.out is None else {**store, gate.out: label},
+                             prob * probabilities[i], (path, step, gate, fam.name, label), sub))
+        if vec is not amps:
+            spare = amps
+        stack.extend(reversed(children))
+        fired = vec = children = None  # hold no vector of this gate while the next one fires
 
 
 def _branch(prep: PreparedProgram, leaf) -> Branch:
@@ -458,8 +481,8 @@ def run(program: ast.Program | PreparedProgram, seed: int = 0,
     prep = _prepared(program, bindings, registry, schedule)
     draw = random.Random(seed).random
 
-    def follow(gate, fam, outs, prob, slot):
-        return [(_pick(outs, draw()), None)]
+    def follow(gate, fam, probabilities, prob, slot):
+        return [(_pick(probabilities, draw()), None)]
 
     b = _branch(prep, next(_walk(prep, prep.input_state(), follow)))
     return RunResult(b.state, b.store, b.outcomes, b.trace, min(b.probability, 1.0),
@@ -485,10 +508,9 @@ def _enumerate(prep: PreparedProgram, min_prob: float = 0.0,
     """``enumerate_branches`` of a prepared program, from its input state."""
     floor = max(min_prob, 0.0)
 
-    def follow(gate, fam, outs, prob, slot):
-        return [prob * out.probability
-                if out.probability <= PRUNE_EPS or prob * out.probability < floor
-                else (out, None) for out in outs]
+    def follow(gate, fam, probabilities, prob, slot):
+        return [prob * p if p <= PRUNE_EPS or prob * p < floor else (i, None)
+                for i, p in enumerate(probabilities)]
 
     branches: list[Branch] = []
     pruned = 0.0  # summed in visiting order, which fixes its last bits
@@ -539,12 +561,12 @@ def sample_distribution(program: ast.Program | PreparedProgram, shots: int,
             skips.append(64 * (i - drawn))
             drawn = i + 1
 
-    def follow(gate, fam, outs, prob, taken):
-        _, last = cdf = _cdf(outs)
+    def follow(gate, fam, probabilities, prob, taken):
+        _, last = cdf = _cdf(probabilities)
         if last[0] == last[-1]:  # one outcome above PRUNE_EPS
-            return [(outs[last[0]], taken)]
+            return [(last[0], taken)]
         picks = _pick_all(cdf, draws[taken, column[gate.gid]])
-        return [(outs[i], taken[picks == i]) for i in sorted(set(picks.tolist()))]
+        return [(i, taken[picks == i]) for i in sorted(set(picks.tolist()))]
 
     counts: dict[tuple[tuple[Gid, int], ...], int] = {}
     chunk = max(1, SAMPLE_CHUNK_DRAWS // max(1, len(skips)))
@@ -624,16 +646,17 @@ def _lattice(prep: PreparedProgram, schedules: list[Schedule] | None,
     order of each bout.
 
     A table maps a branch's key to (probability, store, amplitudes,
-    path), the path linked as in ``_walk``.  The key packs the label of
-    each gate that the branch has fired into bits of its own, so every
-    chain into an ideal keys its branches alike.  The empty ideal's
-    table has one branch: the input state, built once and never written,
-    with key 0 (no outcomes), an empty store and probability 1.  The
-    ideal S | {g} gets its table from the first edge that reaches it: g
-    fires from the tape (``_TapeGate.fire`` with no scratch, so every
-    outcome vector is new) on each branch of S, and outcomes are pruned
-    as ``enumerate_branches`` prunes them.  Each later edge into it is
-    fired the same way and compared with that table.  On the last ideal
+    drift bound of their norm, path), the path linked as in ``_walk``.
+    The key packs the label of each gate that the branch has fired into
+    bits of its own, so every chain into an ideal keys its branches
+    alike.  The empty ideal's table has one branch: the input state,
+    built once and never written, with key 0 (no outcomes), an empty
+    store and probability 1.  The ideal S | {g} gets its table from the
+    first edge that reaches it: g fires from the tape (``_TapeGate.fire``
+    with no scratch, so every outcome vector is new) on each branch of
+    S, outcomes are pruned as ``enumerate_branches`` prunes them, and
+    each one kept makes its vector.  Each later edge into it is fired
+    the same way and compared with that table.  On the last ideal
     every store also goes through the classical pass, as in ``_branch``.
     The walk holds the tables of two levels."""
     gates = prep.circuit.gates
@@ -666,19 +689,20 @@ def _lattice(prep: PreparedProgram, schedules: list[Schedule] | None,
 
     def fire(table: dict, i: int, step: int, last: bool):
         gate, code = gates[i], codes[i]
-        for key, (prob, store, amps, path) in table.items():
-            fam, outs = tape[i].fire(store, amps, width, None)
-            for out in outs:
-                if out.probability <= PRUNE_EPS or prob * out.probability < floor:
+        for key, (prob, store, amps, drift, path) in table.items():
+            fam, fired = tape[i].fire(store, amps, width, None)
+            for j, p in enumerate(fired.probabilities):
+                if p <= PRUNE_EPS or prob * p < floor:
                     continue
-                new = store if gate.out is None else {**store, gate.out: out.label}
-                yield key | code[out.label], (
-                    prob * out.probability, prep.run_classical(new) if last else new,
-                    post_vector(fam, out), (path, step, gate, fam.name, out.label))
+                label = fam.outcomes[j].label
+                new = store if gate.out is None else {**store, gate.out: label}
+                yield key | code[label], (
+                    prob * p, prep.run_classical(new) if last else new,
+                    *fired.post(j, drift), (path, step, gate, fam.name, label))
 
     store = prep.run_classical({}) if not gates else {}
     level = {0: _Ideal(tuple(i for i, need in enumerate(needs) if not need),
-                       {0: (1.0, store, state.amplitudes, None)}, None)}
+                       {0: (1.0, store, state.amplitudes, 0.0, None)}, None)}
     yield level
     for step in range(1, len(gates) + 1):
         nxt: dict[int, _Ideal] = {}
@@ -720,12 +744,12 @@ def _table_mismatch(branches, table: dict, atol: float) -> str | None:
     """How the (key, branch) pairs ``branches`` differ from ``table``,
     or None if they agree within ``atol``."""
     seen = 0
-    for key, (p, store, amps, path) in branches:
+    for key, (p, store, amps, _drift, path) in branches:
         ref = table.get(key)
         if ref is None:
             return "different outcome assignments"
         seen += 1
-        q, ref_store, ref_amps, _ = ref
+        q, ref_store, ref_amps, _, _ = ref
         if abs(p - q) > atol:
             return f"branch {_outcomes(path)} of probability {p} against {q}"
         if store != ref_store:
@@ -771,12 +795,12 @@ def program_unitary(program: ast.Program | PreparedProgram, bindings: dict | Non
         raise SimulationError(
             f"composite operator needs width <= {UNITARY_MAX_WIDTH}, got {width}")
 
-    def only(gate, fam, outs, prob, slot):
-        if len(outs) != 1:
+    def only(gate, fam, probabilities, prob, slot):
+        if len(probabilities) != 1:
             raise SimulationError(
                 f"gate {gate.label} measures ({fam.name} has "
-                f"{len(outs)} outcomes); the program has no composite operator")
-        return [(outs[0], None)]
+                f"{len(probabilities)} outcomes); the program has no composite operator")
+        return [(0, None)]
 
     b = max(0, (width - 2) // 2 * 2)
     dim, cols = 2**width, 2**b

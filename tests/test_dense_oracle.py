@@ -247,12 +247,14 @@ def test_kernels_write_every_entry_of_a_scratch_buffer(measured, unitary, seed):
 def test_poisoned_scratch_reaches_every_entry_point():
     # H is dense, CNOT a gather that moves rows and SM a measurement: each
     # is written into a scratch buffer, by run, enumerate and the unitary.
+    # The last SM outcome a walk follows is a diagonal, so it scales the
+    # state in place: run takes no buffer for SM, enumerate one.
     text = "ket 01 on 1, 2;\nH(1);\nCNOT(1, 2);\nm := SM(2)\n"
     steps = [((1,), None, lambda store: {0: H}),
              ((1, 2), None, lambda store: {0: controlled(X)}),
              ((2,), "m", lambda store: SM)]
     with poisoned_scratch() as taken:
         check_run_and_enumerate((text, 2, steps), 0)
-        assert len(taken) == 4 + 4  # H, CNOT and both SM outcomes, twice
+        assert len(taken) == 2 + 3  # H and CNOT, twice; SM outcome 0 in enumerate
         check_program_unitary((text.replace(";\nm := SM(2)", ""), 2, steps[:2]))
-        assert len(taken) == 8 + 4 * 2  # H and CNOT on each basis column
+        assert len(taken) == 5 + 4 * 2  # H and CNOT on each basis column

@@ -190,7 +190,7 @@ def test_check_diagnostics_match_golden(command, path):
 # amplitudes is a generic complex number.  The output is about 230 KB,
 # so it is pinned by its SHA-256 rather than a committed file.
 QFT12_KET = 2931
-QFT12_SHA256 = "78ccffc906e0193a4515dc568b6f73defaf35c93957570ceeff989f8f3f5da99"
+QFT12_SHA256 = "cced0387a8aac69e4d3e4e1be43172d6e8db09287c15ab71e39ffa5a72c28f4a"
 
 
 def test_large_state_run_matches_digest(tmp_path):

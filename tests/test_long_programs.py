@@ -5,8 +5,14 @@ stacks, so a program of a few thousand gates runs at the default
 recursion limit.  The oracle is closed-form: H applied an odd number of
 times is H, so the final read-out of |0> gives 0 and 1 with probability
 1/2 each.
+
+Long paths of library gates also show the norm's drift bound at work:
+the path keeps probability 1 exactly and its state stays within
+UNIT_NORM_SLACK of norm 1.  The walk's memory is bounded here too,
+traced with tracemalloc.
 """
 import collections
+import math
 import sys
 import tracemalloc
 
@@ -18,6 +24,8 @@ from qcasm import qmath as Q
 from qcasm import sim as S
 from qcasm.cli import main
 from qcasm.parser import parse
+
+from conftest import PROGRAMS
 
 H_COUNT = 1499  # odd, so the chain of H gates composes to H
 UNITARY_TEXT = f"for i = 1 to {H_COUNT}: H(1)\n"
@@ -104,3 +112,81 @@ def test_deep_prerequisite_chain_out_of_gate_order():
     assert C.all_schedules(prep.circuit) == [prep.schedule]
     result = S.run(prep, seed=1)
     assert len(result.trace) == H_COUNT + 1
+
+
+QFT16_TEXT = (PROGRAMS / "qft.qcasm").read_text().replace(
+    "param n = 3\n", f"param n = 3\nket {12345:016b} on 1..n;\n")
+UNITARY_PATHS = [
+    pytest.param("for k = 1 to 10000: H(1)\n", {}, id="10000 H"),
+    pytest.param("for k = 1 to 5000: {H(1); H(2); cR_2(2, 1)}\n", {}, id="5000 H H cR_2"),
+    pytest.param(QFT16_TEXT, {"n": 16}, id="qft n=16"),
+]
+
+
+@pytest.mark.parametrize("text, bindings", UNITARY_PATHS)
+def test_a_unitary_path_has_probability_one_and_keeps_its_norm(text, bindings, monkeypatch):
+    # Library gates fire with probability 1 exactly and no norm pass, but
+    # for the few that the drift bound of each path asks for.
+    prep = S.prepare(parse(text), bindings)
+    passes = []
+    vdot = np.vdot
+    monkeypatch.setattr(np, "vdot", lambda a, b: passes.append(a.size) or vdot(a, b))
+    result = S.run(prep, seed=1)
+    amps = result.state.amplitudes
+    assert result.probability == 1.0
+    assert abs(vdot(amps, amps).real - 1.0) <= Q.UNIT_NORM_SLACK
+    assert 0 < len(passes) <= len(prep.firing) // 50
+
+
+def test_without_the_drift_guard_the_norm_leaves_the_slack(monkeypatch):
+    # The guard is what keeps the norm: with no norm pass the deviation
+    # of the long loop grows past UNIT_NORM_SLACK.
+    prep = S.prepare(parse("for k = 1 to 5000: {H(1); H(2); cR_2(2, 1)}\n"))
+    monkeypatch.setattr(Q, "UNIT_NORM_SLACK", math.inf)
+    amps = S.run(prep, seed=1).state.amplitudes
+    assert abs(np.vdot(amps, amps).real - 1.0) > 1e-13
+
+
+def test_a_registered_family_complete_only_within_atol_is_renormalized():
+    reg = Q.Registry()
+    reg.register_family(Q.unitary_family("L", np.diag([1.0, 1.0 - 1e-10])))
+    result = S.run(parse("plus on 1;\nfor k = 1 to 2000: L(1)\n"), registry=reg)
+    amps = result.state.amplitudes
+    # the squared norm of each outcome is its probability, and each
+    # outcome is divided by its norm
+    assert 1.0 - 2000 * 1e-10 < result.probability < 1.0 - 1000 * 1e-10
+    assert abs(np.vdot(amps, amps).real - 1.0) <= Q.UNIT_NORM_SLACK
+
+
+def walk_peak(prep: S.PreparedProgram, entry) -> int:
+    """The traced peak of ``entry(prep)`` after its input state is built."""
+    make = prep.input_state
+
+    def input_state():
+        state = make()
+        tracemalloc.reset_peak()
+        return state
+
+    prep.input_state = input_state
+    tracemalloc.start()
+    try:
+        entry(prep)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        del prep.input_state
+
+
+def test_a_measuring_gate_adds_no_state_to_the_peak_of_a_run():
+    # Gathers on 16 wires, one of them a diagonal on a middle wire: the
+    # walk holds the state and one scratch buffer (and numpy's ufunc
+    # buffer, a fixed 256 KiB).  A run makes the vector of the outcome it
+    # draws only, in place for a diagonal, so a measurement adds no
+    # state-sized array: only the bookkeeping of two more gates, far
+    # below a sixteenth of the 1 MiB state.
+    unitary = "plus on 8 and plus on 16;\nX(1); CNOT(8, 1); cR_2(8, 16)"
+    run = lambda prep: S.run(prep, seed=3)  # noqa: E731
+    plain = walk_peak(S.prepare(parse(unitary)), run)
+    measured = walk_peak(S.prepare(parse(unitary + ";\nb := SM(8); c := PM(16, 1)")), run)
+    assert 2 * 2**20 <= plain < 3 * 2**20
+    assert measured < plain + 2**16

@@ -450,8 +450,10 @@ def test_apply_unitary_preserves_norm():
     rng = np.random.default_rng(5)
     s = random_state(rng, 3)
     h = Q.std_gate("H")
-    (o,) = Q.bind_outcomes(h, (2,), 3)(s.amplitudes)
-    assert abs(np.linalg.norm(Q.post_vector(h, o)) - 1.0) < 1e-12
+    fired = Q.bind_outcomes(h, (2,), 3)(s.amplitudes)
+    assert fired.probabilities == (1.0,)
+    vec, _drift = fired.post(0)
+    assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
     with pytest.raises(InvalidFamilyError):
         Q.unitary_family("U", np.array([[1, 0], [0, 0.5]]))
 
@@ -467,24 +469,40 @@ def test_cnot_on_nonadjacent_wires():
 def test_outcome_probability_and_collapse():
     plus = Q.make_state("plus", 1)
     sm = Q.std_gate("SM")
-    o0, o1 = Q.bind_outcomes(sm, (1,), 1)(plus.amplitudes)
-    assert abs(o0.probability - 0.5) < 1e-12 and abs(o1.probability - 0.5) < 1e-12
-    assert np.allclose(Q.post_vector(sm, o0), [1, 0])
+    fired = Q.bind_outcomes(sm, (1,), 1)(plus.amplitudes)
+    p0, p1 = fired.probabilities
+    assert abs(p0 - 0.5) < 1e-12 and abs(p1 - 0.5) < 1e-12
+    vec, drift = fired.post(0)
+    assert np.allclose(vec, [1, 0]) and drift == 0.0
     zero = Q.make_state("0", 1)
-    _, impossible = Q.bind_outcomes(sm, (1,), 1)(zero.amplitudes)
+    fired = Q.bind_outcomes(sm, (1,), 1)(zero.amplitudes)
+    assert fired.probabilities == (1.0, 0.0)
     with pytest.raises(ImpossibleBranchError):
-        Q.post_vector(sm, impossible)
+        fired.post(1)
 
 
 def test_post_state_is_frozen_and_normalized_without_revalidation():
+    # Probabilities come from the marginal, before any vector is made; a
+    # followed outcome is divided by the square root of its probability.
     rng = np.random.default_rng(5)
     s = random_state(rng, 3)
     pm = Q.std_gate("PM")
-    for o in Q.bind_outcomes(pm, (3, 1), 3)(s.amplitudes):
-        want = o.vector / np.linalg.norm(o.vector)
-        assert Q.post_vector(pm, o) is o.vector  # divided in place
-        assert abs(np.linalg.norm(o.vector) - 1.0) <= Q.ATOL
-        assert np.allclose(o.vector, want)
+    fired = Q.bind_outcomes(pm, (3, 1), 3)(s.amplitudes)
+    for i, p in enumerate(fired.probabilities):
+        raw = Q.bind_operator(pm.outcomes[i].structure, (3, 1), 3)(s.amplitudes)
+        assert abs(p - np.vdot(raw, raw).real) <= 1e-15
+        vec, drift = fired.post(i)
+        assert drift == 0.0 and abs(np.linalg.norm(vec) - 1.0) <= 1e-15
+        assert np.allclose(vec, raw / np.linalg.norm(raw))
+    # Handed over with scratch, an outcome is written into a buffer, but
+    # the last one made, a diagonal, scales the state itself in place.
+    own = s.amplitudes.copy()
+    buffers = []
+    fired = Q.bind_outcomes(pm, (3, 1), 3)(own, lambda: buffers.append(np.empty(8, complex))
+                                           or buffers[-1])
+    first, _ = fired.post(0)
+    last, _ = fired.post(1, last=True)
+    assert first is buffers[0] and last is own and len(buffers) == 1
     # the walk freezes each post-measurement state it hands out
     for b in S.enumerate_branches(parse("ket 000 on 1, 2, 3; H(1); H(3); e := PM(3, 1)")).branches:
         assert not b.state.amplitudes.flags.writeable
@@ -496,36 +514,117 @@ def test_post_state_is_frozen_and_normalized_without_revalidation():
         Q.QuantumState(1, np.array([np.inf, 0.0], dtype=complex))
     with pytest.raises(InvalidStateError):
         Q.make_state([np.nan, 1.0], 1)
-    # an operator whose product overflows (to inf + nan j) never reaches
-    # post_vector: its nan probability is rejected like one above 1
+    # an operator whose product overflows (to inf + nan j) never makes a
+    # post-measurement state: its nan probability is rejected like one
+    # above 1, for a single-outcome family and for a measuring one
     huge = Q.MeasurementFamily("huge", 1, (Q.Outcome(0, np.full((2, 2), 1.5e308)),))
+    plus = Q.make_state("plus", 1).amplitudes
     with np.errstate(all="ignore"), pytest.raises(InvalidFamilyError, match="nan"):
-        Q.bind_outcomes(huge, (1,), 1)(Q.make_state("plus", 1).amplitudes)
+        Q.bind_outcomes(huge, (1,), 1)(plus)
+    huge2 = Q.MeasurementFamily("huge2", 1, (Q.Outcome(0, np.full((2, 2), 1.5e308)),
+                                             Q.Outcome(1, np.eye(2))))
+    with np.errstate(all="ignore"), pytest.raises(InvalidFamilyError, match="not at most 1"):
+        Q.bind_outcomes(huge2, (1,), 1)(plus)
 
 
-def test_unitary_outcome_is_divided_only_off_unit_norm():
+def test_exact_unitary_has_a_norm_pass_only_when_its_drift_bound_passes_the_slack():
     rng = np.random.default_rng(8)
     s = random_state(rng, 3)
     h = Q.std_gate("H")
-    (o,) = Q.bind_outcomes(h, (2,), 3)(s.amplitudes)
-    assert abs(o.norm2 - 1.0) <= Q.UNIT_NORM_SLACK
-    before = o.vector.tobytes()
-    assert Q.post_vector(h, o) is o.vector and o.vector.tobytes() == before
-    # Complete within ATOL but not within UNIT_NORM_SLACK: each outcome
-    # is divided, so the norm does not drift over many gates.
+    assert h.exact
+    fire = Q.bind_outcomes(h, (2,), 3)
+    want = Q.bind_operator(h.outcomes[0].structure, (2,), 3)(s.amplitudes).tobytes()
+    # Probability 1 with no pass; the vector is not divided, and its
+    # drift bound grows by 2**k units of roundoff.
+    fired = fire(s.amplitudes)
+    assert fired.probabilities == (1.0,)
+    vec, drift = fired.post(0, 3e-14)
+    assert vec.tobytes() == want and drift == 3e-14 + 2 * Q.ROUNDOFF
+    # Past the slack, a norm pass reads the deviation itself, which is
+    # far below half the slack here, so the vector is still not divided.
+    vec, drift = fire(s.amplitudes).post(0, Q.UNIT_NORM_SLACK)
+    assert vec.tobytes() == want
+    assert drift == abs(np.vdot(vec, vec).real - 1.0) <= Q.UNIT_NORM_SLACK / 2
+    # A state that has drifted by more than half the slack is divided.
+    off = s.amplitudes * (1 + 1e-13)
+    vec, drift = fire(off).post(0, Q.UNIT_NORM_SLACK)
+    assert drift == 0.0 and abs(np.vdot(vec, vec).real - 1.0) <= 1e-15
+    # Complete within ATOL but not within UNIT_NORM_SLACK: a checked
+    # family keeps its norm pass, reports its squared norm as its
+    # probability and has each outcome divided, so the norm does not
+    # drift over many gates.
     lossy = Q.unitary_family("lossy", np.diag([1.0, 1.0 - 1e-10]))
+    assert not lossy.exact
     fire = Q.bind_outcomes(lossy, (1,), 1)
     t = Q.make_state("plus", 1).amplitudes
     for _ in range(2000):
-        t = Q.post_vector(lossy, fire(t)[0])
+        fired = fire(t)
+        assert fired.probabilities[0] < 1.0
+        t, drift = fired.post(0)
+        assert drift == 0.0
     assert abs(np.linalg.norm(t) - 1.0) < 1e-13
+
+
+def test_exact_families_are_library_unitaries_and_their_c_and_negated_forms():
+    reg = Q.Registry()
+    for f in library_families():
+        assert f.exact == (f.is_unitary and not f.name.startswith("(1j)")), f.name
+    assert reg.family("ccX").exact and reg.family("cR", (3,)).exact
+    assert Q.scaled_family(Q.std_gate("X"), -1.0).exact
+    # a checked family is never exact, nor is anything built from one
+    u = Q.unitary_family("U", np.diag([1.0, 1j]))
+    assert not u.exact and not Q.family_power(Q.std_gate("H"), 2).exact
+    reg.register_family(Q.MeasurementFamily("V", 1, (Q.Outcome(0, np.eye(2)),), exact=True))
+    reg.register_family(u)
+    assert not reg.family("V").exact and not reg.family("cU").exact
+    with pytest.raises(InvalidFamilyError, match="single-outcome"):
+        Q.MeasurementFamily("M", 1, Q.std_gate("SM").outcomes, exact=True)
+
+
+def random_measurement(rng: np.random.Generator, k: int, gather: bool) -> Q.MeasurementFamily:
+    """A complete family of 2 or 3 outcomes on k wires: gathers (phased
+    projectors on a partition of the basis, one of them permuted) or
+    dense Kraus operators cut from a random isometry."""
+    d = 2**k
+    n = int(rng.integers(2, 4))
+    if gather:
+        part = rng.integers(0, n, size=d)
+        ops = [np.diag((part == i) * np.exp(2j * np.pi * rng.random(d))) for i in range(n)]
+        ops[0] = ops[0][rng.permutation(d)]
+    else:
+        g = rng.normal(size=(n * d, d)) + 1j * rng.normal(size=(n * d, d))
+        q, _ = np.linalg.qr(g)
+        ops = [q[i * d:(i + 1) * d] for i in range(n)]
+    return Q.make_family("M", k, list(enumerate(ops)))
+
+
+@pytest.mark.parametrize("gather", [True, False])
+def test_probabilities_are_the_squared_norms_of_the_outcome_vectors(gather):
+    # Marginal and reduced-density-matrix probabilities against the
+    # squared norm of each outcome vector, on every layout: gate wires in
+    # any order, short and long trailing runs of other wires.
+    rng = np.random.default_rng(11 + gather)
+    for width, k in [(1, 1), (3, 1), (3, 2), (4, 3), (5, 2), (12, 1), (12, 2)]:
+        s = random_state(rng, width)
+        for _ in range(3):
+            wires = tuple(int(w) for w in rng.permutation(np.arange(1, width + 1))[:k])
+            f = random_measurement(rng, k, gather)
+            fired = Q.bind_outcomes(f, wires, width)(s.amplitudes)
+            assert len(fired.probabilities) == len(f.outcomes)
+            for i, (oc, p) in enumerate(zip(f.outcomes, fired.probabilities)):
+                raw = embed_oracle(oc.operator, wires, width) @ s.amplitudes if width <= 5 \
+                    else Q.bind_operator(oc.structure, wires, width)(s.amplitudes)
+                assert abs(p - np.vdot(raw, raw).real) <= 1e-13, (width, wires)
+                if p > Q.PRUNE_EPS:
+                    vec, _ = fired.post(i)
+                    assert np.allclose(vec, raw / math.sqrt(p), atol=1e-13)
 
 
 def test_parity_measurement_on_bell():
     bell = Q.make_state("bell00", 2)
-    even, odd = Q.bind_outcomes(Q.std_gate("PM"), (1, 2), 2)(bell.amplitudes)
-    assert abs(even.probability - 1.0) < 1e-12
-    assert odd.probability < 1e-15
+    even, odd = Q.bind_outcomes(Q.std_gate("PM"), (1, 2), 2)(bell.amplitudes).probabilities
+    assert abs(even - 1.0) < 1e-12
+    assert odd < 1e-15
 
 
 def test_check_wires():

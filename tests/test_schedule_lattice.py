@@ -8,6 +8,8 @@ Both must give the same verdict and the same count on the shipped
 programs and on random ones, and both must refuse a kernel that is
 wrong in a way that makes the firing order matter.
 """
+import types
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, seed, settings
@@ -96,7 +98,7 @@ def test_branches_below_min_prob_are_pruned_as_enumeration_prunes_them():
     prep = S.prepare(parse("H(1); R_3(1); H(1); b := SM(1) || X(2)"))
     *_, last = S._lattice(prep, None, 0.2, Q.ATOL)
     (ideal,) = last.values()
-    assert [store for _p, store, _amps, _path in ideal.table.values()] == [{"b": 0}]
+    assert [store for _p, store, _amps, _drift, _path in ideal.table.values()] == [{"b": 0}]
     assert S.check_schedule_independence(prep, min_prob=0.2) == 9
     assert reference_check(prep, min_prob=0.2) == 9 == len(C.all_schedules(prep.circuit))
 
@@ -133,9 +135,13 @@ def swapping_x():
             return fire
 
         def swapped(amps, scratch=None):
-            return tuple(o._replace(vector=np.ascontiguousarray(
-                o.vector.reshape((2,) * width).swapaxes(0, 1)).reshape(-1))
-                for o in fire(amps, scratch))
+            fired = fire(amps, scratch)
+
+            def post(i, drift=0.0, last=False):
+                vec, drift = fired.post(i, drift, last)
+                return np.ascontiguousarray(
+                    vec.reshape((2,) * width).swapaxes(0, 1)).reshape(-1), drift
+            return types.SimpleNamespace(probabilities=fired.probabilities, post=post)
         return swapped
     return bind_outcomes
 

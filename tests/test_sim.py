@@ -199,6 +199,28 @@ def test_run_accepts_alternative_schedules(tele_registry):
         S.run(prog, registry=tele_registry, schedule=bad)
 
 
+def test_prepare_trusts_its_own_schedule_and_checks_any_other(monkeypatch, tele_registry):
+    checked = []
+    check = C.check_schedule
+    monkeypatch.setattr(C, "check_schedule", lambda c, s: checked.append(s) or check(c, s))
+    prep = S.prepare(corpus_program("teleport"), registry=tele_registry)
+    assert checked == []
+    assert [gate.gid for _step, gate in prep.firing] == [g for bout in prep.schedule for g in bout]
+    bad = tuple(reversed(prep.schedule))
+    with pytest.raises(ScheduleError):
+        S.prepare(corpus_program("teleport"), registry=tele_registry, schedule=bad)
+    with pytest.raises(ScheduleError):
+        prep.with_schedule(bad)
+    with pytest.raises(ScheduleError):
+        S.PreparedProgram(prep.program, prep.registry, prep.circuit, prep.tree, bad)
+    assert checked == [bad] * 3
+    last = C.all_schedules(prep.circuit)[-1]
+    copy = prep.with_schedule(last)
+    assert checked[-1] == last and copy.schedule == last
+    assert [(step, gate.gid) for step, gate in copy.firing] == [
+        (step, g) for step, bout in enumerate(last, start=1) for g in bout]
+
+
 def test_firing_order_within_bout_is_by_gate_id(tele_registry):
     prep = S.prepare(corpus_program("teleport"), registry=tele_registry)
     steps = [(step, gate.gid) for step, gate in prep.firing]
@@ -392,13 +414,13 @@ def test_sample_counts_total(tele_registry):
 
 
 def test_pick_never_returns_an_impossible_outcome():
-    # u inside the mass of a leading impossible label: move on to the next
-    # positive label instead of returning one that cannot be collapsed.
-    assert S._pick(((0, 5e-13), (1, 1 - 5e-13)), 1e-13) == (1, 1 - 5e-13)
-    # u inside the mass of a later impossible label: the previous positive one.
-    assert S._pick(((0, 0.5), (1, 1e-13), (2, 0.5)), 0.5 + 5e-14) == (0, 0.5)
+    # u inside the mass of a leading impossible outcome: move on to the next
+    # positive one instead of returning one that cannot be collapsed.
+    assert S._pick((5e-13, 1 - 5e-13), 1e-13) == 1
+    # u inside the mass of a later impossible outcome: the previous positive one.
+    assert S._pick((0.5, 1e-13, 0.5), 0.5 + 5e-14) == 0
     with pytest.raises(ImpossibleBranchError):
-        S._pick(((0, 1e-13), (1, 0.0)), 0.5)
+        S._pick((1e-13, 0.0), 0.5)
 
 
 # Masses of one family's outcomes: zero, impossible (at most PRUNE_EPS)
@@ -417,16 +439,15 @@ def test_cdf_lookup_of_many_draws_matches_pick(masses, us):
     # The sampler looks up all the draws at a node with np.searchsorted on
     # the table that _pick bisects; besides the given draws, try each
     # cumulative boundary, one ulp below it, 0 and the total mass.
-    entries = tuple(enumerate(masses))
     if all(m <= Q.PRUNE_EPS for m in masses):
         with pytest.raises(ImpossibleBranchError):
-            S._cdf(entries)
+            S._cdf(masses)
         return
-    cdf = S._cdf(entries)
+    cdf = S._cdf(masses)
     cum = np.array(cdf[0])
     us = np.concatenate([us, cum, np.nextafter(cum, -np.inf), [0.0, 1.0]])
     picks = S._pick_all(cdf, us)
-    assert picks.tolist() == [S._pick(entries, float(u))[0] for u in us]
+    assert picks.tolist() == [S._pick(masses, float(u)) for u in us]
     assert all(masses[i] > Q.PRUNE_EPS for i in picks)
 
 

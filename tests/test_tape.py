@@ -216,7 +216,7 @@ def test_schedule_check_builds_one_input_state_and_never_writes_it(monkeypatch,
 def lattice_bytes(table: dict) -> list:
     """``branch_bytes`` of a branch table of the schedule check's lattice walk."""
     return sorted((S._outcomes(path), p, sorted(store.items()), amps.tobytes())
-                  for p, store, amps, path in table.values())
+                  for p, store, amps, _drift, path in table.values())
 
 
 def last_ideal(prep, schedules):

@@ -21,8 +21,8 @@ from conftest import corpus_program
 
 
 def per_column(prep: S.PreparedProgram) -> np.ndarray:
-    def only(gate, fam, outs, prob, slot):
-        return [(outs[0], None)]
+    def only(gate, fam, probabilities, prob, slot):
+        return [(0, None)]
 
     width = prep.circuit.width
     return np.stack([next(S._walk(prep, Q.make_state(format(j, f"0{width}b"), width),
